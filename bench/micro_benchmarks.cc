@@ -1,14 +1,17 @@
 // Micro benchmarks (google-benchmark) for the optimizer's hot paths:
 // dominance checks, Pareto-set pruning, cost-model combination, subset
-// enumeration, and end-to-end optimization of small queries.
+// enumeration, end-to-end optimization of small queries, and the
+// canonical cache keys every service request and DP run derives.
 
 #include <benchmark/benchmark.h>
 
 #include "core/exa.h"
 #include "core/pareto_set.h"
 #include "core/rta.h"
+#include "memo/subplan_key.h"
 #include "model/cost_model.h"
 #include "query/tpch_queries.h"
+#include "service/signature.h"
 #include "util/random.h"
 
 namespace moqo {
@@ -127,6 +130,67 @@ BENCHMARK(BM_OptimizeTpcH)
     ->Args({10, 3})
     ->Args({10, 6})
     ->Unit(benchmark::kMillisecond);
+
+ObjectiveSet FirstObjectives(int num_objectives) {
+  return ObjectiveSet(std::vector<Objective>(
+      kAllObjectives.begin(), kAllObjectives.begin() + num_objectives));
+}
+
+OptimizerOptions SignatureOptions() {
+  OptimizerOptions options;
+  options.operators.sampling_rates = {0.05, 0.01};
+  options.operators.dops = {1, 4};
+  return options;
+}
+
+// TPC-H queries of 3, 4, 5, 6 and 8 tables (Q3, Q10, Q2, Q5, Q8).
+void SignatureQueries(benchmark::internal::Benchmark* bench) {
+  for (int query_number : {3, 10, 2, 5, 8}) bench->Arg(query_number);
+}
+
+void BM_ComputeSignature(benchmark::State& state) {
+  Catalog catalog = Catalog::TpcH(1.0);
+  const Query query =
+      MakeTpcHQuery(&catalog, static_cast<int>(state.range(0)));
+  const OptimizerOptions options = SignatureOptions();
+  size_t key_bytes = 0;
+  for (auto _ : state) {
+    const ProblemSignature signature = ComputeSignature(
+        query, FirstObjectives(6), AlgorithmKind::kRta, 1.5, options);
+    key_bytes = signature.key.size();
+    benchmark::DoNotOptimize(signature.hash);
+  }
+  state.counters["key_bytes"] = static_cast<double>(key_bytes);
+}
+BENCHMARK(BM_ComputeSignature)->Apply(SignatureQueries);
+
+// One session key: a four-rung ladder plus the per-rung deadline.
+void BM_ExtendSignature(benchmark::State& state) {
+  Catalog catalog = Catalog::TpcH(1.0);
+  const Query query =
+      MakeTpcHQuery(&catalog, static_cast<int>(state.range(0)));
+  const ProblemSignature base = ComputeSignature(
+      query, FirstObjectives(6), AlgorithmKind::kRta, 1.5,
+      SignatureOptions());
+  const std::vector<double> schedule = {4.0, 2.5, 1.8, 1.5, 250.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ExtendSignature(base, schedule).hash);
+  }
+}
+BENCHMARK(BM_ExtendSignature)->Apply(SignatureQueries);
+
+void BM_SubplanSignatureFor(benchmark::State& state) {
+  Catalog catalog = Catalog::TpcH(1.0);
+  const Query query =
+      MakeTpcHQuery(&catalog, static_cast<int>(state.range(0)));
+  const SubplanKeyContext context(query, FirstObjectives(6), 1.1,
+                                  SignatureOptions().operators, true, true,
+                                  false, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(context.SignatureFor(query.AllTables()).hash);
+  }
+}
+BENCHMARK(BM_SubplanSignatureFor)->Apply(SignatureQueries);
 
 }  // namespace
 }  // namespace moqo

@@ -2,11 +2,21 @@
 
 #include <cmath>
 
+#include "query/canonical.h"
+
 namespace moqo {
 
 int Catalog::AddTable(Table table) {
+  table.canonical_encoding_ = EncodeCanonicalTable(table);
   tables_.push_back(std::make_unique<Table>(std::move(table)));
   return static_cast<int>(tables_.size()) - 1;
+}
+
+void Catalog::BumpEpoch() {
+  for (const auto& table : tables_) {
+    table->canonical_encoding_ = EncodeCanonicalTable(*table);
+  }
+  ++epoch_;
 }
 
 int Catalog::FindTable(const std::string& name) const {

@@ -46,12 +46,22 @@ class Table {
     indexed_columns_.push_back(column_name);
   }
 
+  /// The table's canonical content encoding (query/canonical.h
+  /// EncodeCanonicalTable), frozen when a Catalog registers the table and
+  /// re-frozen by Catalog::BumpEpoch. Every cache key that covers this
+  /// table appends these bytes instead of re-encoding the statistics.
+  /// Empty for a table no catalog holds.
+  const std::string& canonical_encoding() const { return canonical_encoding_; }
+
  private:
+  friend class Catalog;
+
   std::string name_;
   double row_count_;
   double row_width_bytes_;
   std::vector<ColumnStats> columns_;
   std::vector<std::string> indexed_columns_;
+  std::string canonical_encoding_;
 };
 
 }  // namespace moqo

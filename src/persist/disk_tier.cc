@@ -89,6 +89,24 @@ bool DiskTier::Put(uint64_t key_hash, std::string_view key,
   const size_t record_bytes = RecordBytes(key.size(), payload.size());
   if (record_bytes > shard_capacity_bytes_) return false;
 
+  Shard& shard = ShardFor(key_hash);
+  MutexLock lock(shard.mu);
+  if (shard.fd < 0) return false;
+  // Re-demotion of an unchanged entry (demote → promote → demote churn) is
+  // the common case; an index entry with identical hash, shape, and alpha
+  // is that entry with overwhelming likelihood, so skip the duplicate
+  // append — before the record is built and checksummed. (A same-shape
+  // different key would merely keep serving the older record — the
+  // full-key check on Take keeps it from aliasing.)
+  auto range = shard.index.equal_range(key_hash);
+  for (auto it = range.first; it != range.second; ++it) {
+    if (it->second.key_len == key.size() &&
+        it->second.payload_len == payload.size() &&
+        it->second.alpha == achieved_alpha) {
+      return true;
+    }
+  }
+
   std::string record;
   record.reserve(record_bytes);
   PutU32(&record, static_cast<uint32_t>(key.size()));
@@ -101,22 +119,6 @@ bool DiskTier::Put(uint64_t key_hash, std::string_view key,
   record.append(key);
   record.append(payload);
 
-  Shard& shard = ShardFor(key_hash);
-  MutexLock lock(shard.mu);
-  if (shard.fd < 0) return false;
-  // Re-demotion of an unchanged entry (demote → promote → demote churn) is
-  // the common case; an index entry with identical hash, shape, and alpha
-  // is that entry with overwhelming likelihood, so skip the duplicate
-  // append. (A same-shape different key would merely keep serving the
-  // older record — the full-key check on Take keeps it from aliasing.)
-  auto range = shard.index.equal_range(key_hash);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second.key_len == key.size() &&
-        it->second.payload_len == payload.size() &&
-        it->second.alpha == achieved_alpha) {
-      return true;
-    }
-  }
   if (shard.append_offset + record_bytes > shard_capacity_bytes_) {
     ResetShard(&shard);
   }

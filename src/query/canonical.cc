@@ -15,9 +15,9 @@ void AppendCanonicalString(std::string* out, const std::string& s) {
 }
 
 void AppendCanonicalU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  out->append(bytes, sizeof(bytes));
 }
 
 void AppendCanonicalDouble(std::string* out, double v) {
@@ -27,13 +27,12 @@ void AppendCanonicalDouble(std::string* out, double v) {
   AppendCanonicalU64(out, bits);
 }
 
-uint64_t Fnv1aHash(const std::string& data) {
-  uint64_t hash = 14695981039346656037ull;
+uint64_t Fnv1aHash(std::string_view data, uint64_t state) {
   for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ull;
+    state ^= c;
+    state *= 1099511628211ull;
   }
-  return hash;
+  return state;
 }
 
 /// Catalog identity by content: the same table id over a differently
@@ -41,27 +40,41 @@ uint64_t Fnv1aHash(const std::string& data) {
 /// Everything the cost model reads is covered — cardinality, widths,
 /// per-column statistics (histograms drive selectivities), and index
 /// availability (drives the physical plan space).
-void AppendCanonicalTable(std::string* out, const Table& table) {
-  AppendCanonicalString(out, table.name());
-  AppendCanonicalDouble(out, table.row_count());
-  AppendCanonicalDouble(out, table.row_width_bytes());
-  AppendCanonicalU64(out, table.columns().size());
+std::string EncodeCanonicalTable(const Table& table) {
+  // The encoding lives as long as its table: size it exactly, once.
+  size_t bytes = 8 + table.name().size() + 3 * 8;
   for (const ColumnStats& column : table.columns()) {
-    AppendCanonicalString(out, column.name);
-    AppendCanonicalDouble(out, column.ndv);
-    AppendCanonicalDouble(out, column.min_value);
-    AppendCanonicalDouble(out, column.max_value);
-    AppendCanonicalDouble(out, column.null_fraction);
-    AppendCanonicalDouble(out, column.avg_width_bytes);
-    AppendCanonicalU64(out, table.HasIndexOn(column.name) ? 1 : 0);
+    bytes += 8 + column.name.size() + 9 * 8 +
+             8 * static_cast<size_t>(column.histogram.num_buckets());
+  }
+  std::string encoding;
+  encoding.reserve(bytes);
+  AppendCanonicalString(&encoding, table.name());
+  AppendCanonicalDouble(&encoding, table.row_count());
+  AppendCanonicalDouble(&encoding, table.row_width_bytes());
+  AppendCanonicalU64(&encoding, table.columns().size());
+  for (const ColumnStats& column : table.columns()) {
+    AppendCanonicalString(&encoding, column.name);
+    AppendCanonicalDouble(&encoding, column.ndv);
+    AppendCanonicalDouble(&encoding, column.min_value);
+    AppendCanonicalDouble(&encoding, column.max_value);
+    AppendCanonicalDouble(&encoding, column.null_fraction);
+    AppendCanonicalDouble(&encoding, column.avg_width_bytes);
+    AppendCanonicalU64(&encoding, table.HasIndexOn(column.name) ? 1 : 0);
     const Histogram& histogram = column.histogram;
-    AppendCanonicalDouble(out, histogram.lo());
-    AppendCanonicalDouble(out, histogram.hi());
-    AppendCanonicalU64(out, static_cast<uint64_t>(histogram.num_buckets()));
+    AppendCanonicalDouble(&encoding, histogram.lo());
+    AppendCanonicalDouble(&encoding, histogram.hi());
+    AppendCanonicalU64(&encoding,
+                       static_cast<uint64_t>(histogram.num_buckets()));
     for (int b = 0; b < histogram.num_buckets(); ++b) {
-      AppendCanonicalDouble(out, histogram.bucket_count(b));
+      AppendCanonicalDouble(&encoding, histogram.bucket_count(b));
     }
   }
+  return encoding;
+}
+
+void AppendCanonicalTable(std::string* out, const Table& table) {
+  out->append(table.canonical_encoding());
 }
 
 void AppendCanonicalQuery(std::string* out, const Query& query) {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "query/query.h"
 
@@ -27,16 +28,27 @@ void AppendCanonicalU64(std::string* out, uint64_t v);
 /// Appends a double bit-exactly (its IEEE-754 representation).
 void AppendCanonicalDouble(std::string* out, double v);
 
+/// The FNV-1a 64-bit offset basis: the hash state of the empty string.
+inline constexpr uint64_t kFnv1aOffsetBasis = 14695981039346656037ull;
+
 /// FNV-1a over a canonical encoding; the hash every canonical cache key
 /// (service/signature, memo/subplan_key) derives its routing value from.
-uint64_t Fnv1aHash(const std::string& data);
+/// FNV-1a is a streaming hash: the hash of a prefix is the state after
+/// it, so passing that hash as `state` continues over appended bytes, and
+/// Fnv1aHash(b, Fnv1aHash(a)) == Fnv1aHash(a + b).
+uint64_t Fnv1aHash(std::string_view data, uint64_t state = kFnv1aOffsetBasis);
 
-/// Appends the canonical *content* encoding of one catalog table:
-/// everything the cost model reads (name, cardinality, widths, per-column
-/// statistics and histograms, index availability). Identity is by content,
-/// so the same table id over a differently scaled or differently
-/// distributed catalog encodes differently. Shared by the whole-query
-/// encoding below and the table-set-level subplan memo keys.
+/// The canonical *content* encoding of one table: everything the cost
+/// model reads (name, cardinality, widths, per-column statistics and
+/// histograms, index availability). Identity is by content, so the same
+/// table id over a differently scaled or differently distributed catalog
+/// encodes differently. Catalog freezes it into the table at registration
+/// (Table::canonical_encoding), and keys append the frozen copy.
+std::string EncodeCanonicalTable(const Table& table);
+
+/// Appends `table`'s frozen canonical encoding. Shared by the whole-query
+/// encoding below and the table-set-level subplan memo keys. `table` must
+/// be registered with a Catalog.
 void AppendCanonicalTable(std::string* out, const Table& table);
 
 /// Appends the canonical encoding of `query`'s structure to `out`:

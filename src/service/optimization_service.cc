@@ -84,9 +84,9 @@ std::vector<double> MakeAlphaLadder(double start, double target,
 ProblemSignature SessionKey(const ProblemSignature& base,
                             const std::vector<double>& ladder,
                             int64_t step_deadline_ms) {
-  ProblemSignature key = base;
-  for (double alpha : ladder) key = ExtendSignature(key, alpha);
-  return ExtendSignature(key, static_cast<double>(step_deadline_ms));
+  std::vector<double> schedule = ladder;
+  schedule.push_back(static_cast<double>(step_deadline_ms));
+  return ExtendSignature(base, schedule);
 }
 
 /// Builds a result over `plan_set` with `base`'s cold-run metrics and the
@@ -439,9 +439,6 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
       target,
       MakeOptimizerOptions(target, -1, /*parallelism=*/1, /*use_memo=*/false),
       &resolved.weights, &resolved.bounds);
-  session->session_key_ =
-      SessionKey(session->cache_signature_, session->ladder_,
-                 session_options.step_deadline_ms);
 
   // Stage 1: cache probe at the target precision. A hit (any entry at
   // least as tight) makes the session born-done — the frontier is already
@@ -460,6 +457,12 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
       return session;
     }
   }
+
+  // A born-done session never registers, so the exact-run key is built
+  // only past stage 1 — and before stage 2 trims the ladder it encodes.
+  session->session_key_ =
+      SessionKey(session->cache_signature_, session->ladder_,
+                 session_options.step_deadline_ms);
 
   // Stage 2: seed from a looser cached frontier. An entry tighter than
   // nothing-at-all but looser than the target still beats the quick-mode

@@ -27,8 +27,14 @@ ProblemSignature ComputeSignature(const Query& query,
                                   const OptimizerOptions& options,
                                   const WeightVector* weights,
                                   const BoundVector* bounds) {
+  // The frozen table encodings dominate the key; reserve for them and
+  // the predicates up front so the key is built without regrowing.
+  size_t reserve = 256 + 64 * (query.joins().size() + query.filters().size());
+  for (int i = 0; i < query.num_tables(); ++i) {
+    reserve += 8 + query.table(i).canonical_encoding().size();
+  }
   std::string key;
-  key.reserve(256);
+  key.reserve(reserve);
 
   AppendCanonicalQuery(&key, query);
 
@@ -100,11 +106,14 @@ ProblemSignature ComputeSignature(const Query& query,
   return signature;
 }
 
-ProblemSignature ExtendSignature(const ProblemSignature& base, double alpha) {
+ProblemSignature ExtendSignature(const ProblemSignature& base,
+                                 std::span<const double> values) {
   ProblemSignature extended;
-  extended.key = base.key;
-  AppendCanonicalDouble(&extended.key, alpha);
-  extended.hash = Fnv1aHash(extended.key);
+  extended.key.reserve(base.key.size() + 8 * values.size());
+  extended.key.append(base.key);
+  for (double value : values) AppendCanonicalDouble(&extended.key, value);
+  extended.hash = Fnv1aHash(
+      std::string_view(extended.key).substr(base.key.size()), base.hash);
   return extended;
 }
 

@@ -28,6 +28,7 @@
 #define MOQO_SERVICE_SIGNATURE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/optimizer.h"
@@ -67,11 +68,22 @@ ProblemSignature ComputeSignature(const Query& query,
                                   const WeightVector* weights = nullptr,
                                   const BoundVector* bounds = nullptr);
 
-/// `base` with `alpha` appended bit-exactly (and the hash recomputed):
-/// the exact-run identity used where relaxed alpha matching would be
-/// wrong — two in-flight runs at different precisions must not coalesce,
-/// and two sessions refining to different targets must not share a ladder.
-ProblemSignature ExtendSignature(const ProblemSignature& base, double alpha);
+/// `base` with `values` appended bit-exactly, in order: the exact-run
+/// identity used where relaxed alpha matching would be wrong — two
+/// in-flight runs at different precisions must not coalesce, and two
+/// sessions refining to different targets must not share a ladder. The
+/// hash continues FNV-1a from `base.hash` over the appended bytes alone,
+/// which gives exactly Fnv1aHash of the extended key as long as
+/// `base.hash` is Fnv1aHash(base.key), as it is for every signature
+/// ComputeSignature and ExtendSignature return.
+ProblemSignature ExtendSignature(const ProblemSignature& base,
+                                 std::span<const double> values);
+
+/// `base` with the single value `alpha` appended.
+inline ProblemSignature ExtendSignature(const ProblemSignature& base,
+                                        double alpha) {
+  return ExtendSignature(base, std::span<const double>(&alpha, 1));
+}
 
 }  // namespace moqo
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "query/canonical.h"
+#include "testing/test_helpers.h"
+
 namespace moqo {
 namespace {
 
@@ -85,6 +88,49 @@ TEST(TpcHCatalogTest, FindTableByName) {
   EXPECT_EQ(catalog.FindTable("lineitem"), kLineitem);
   EXPECT_EQ(catalog.FindTable("region"), kRegion);
   EXPECT_EQ(catalog.FindTable("nope"), -1);
+}
+
+// Every table's frozen canonical encoding equals a fresh encoding of an
+// unregistered copy; after an in-place refresh it goes stale until
+// BumpEpoch re-freezes it.
+void ExpectFrozenEncodingsTrackBumpEpoch(Catalog catalog) {
+  for (int id = 0; id < catalog.num_tables(); ++id) {
+    const Table copy = catalog.table(id);
+    EXPECT_FALSE(catalog.table(id).canonical_encoding().empty());
+    EXPECT_EQ(catalog.table(id).canonical_encoding(),
+              EncodeCanonicalTable(copy))
+        << copy.name();
+  }
+
+  std::vector<std::string> before;
+  for (int id = 0; id < catalog.num_tables(); ++id) {
+    before.push_back(catalog.table(id).canonical_encoding());
+    Table& table = catalog.mutable_table(id);
+    ColumnStats refreshed = table.columns().front();
+    refreshed.name += "_refreshed";
+    refreshed.ndv += 1;
+    table.AddColumn(refreshed);
+    table.AddIndex(refreshed.name);
+    EXPECT_EQ(table.canonical_encoding(), before[id]) << table.name();
+  }
+
+  const uint64_t epoch = catalog.epoch();
+  catalog.BumpEpoch();
+  EXPECT_EQ(catalog.epoch(), epoch + 1);
+  for (int id = 0; id < catalog.num_tables(); ++id) {
+    const Table copy = catalog.table(id);
+    EXPECT_NE(catalog.table(id).canonical_encoding(), before[id])
+        << copy.name();
+    EXPECT_EQ(catalog.table(id).canonical_encoding(),
+              EncodeCanonicalTable(copy))
+        << copy.name();
+  }
+}
+
+TEST(CatalogTest, FrozenEncodingsMatchFreshOnesAcrossBumpEpoch) {
+  ExpectFrozenEncodingsTrackBumpEpoch(Catalog::TpcH(1.0));
+  ExpectFrozenEncodingsTrackBumpEpoch(Catalog::TpcH(0.01));
+  ExpectFrozenEncodingsTrackBumpEpoch(testing::MakeTinyCatalog());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "memo/subplan_key.h"
 #include "memo/subplan_memo.h"
 #include "query/query.h"
+#include "query/tpch_queries.h"
 #include "testing/test_helpers.h"
 #include "util/thread_pool.h"
 
@@ -178,6 +179,36 @@ TEST(SubplanKeyTest, CollisionResistance) {
   const int extra2 = benign.AddTable("r3");
   benign.AddJoin(0, "k", extra2, "k");
   EXPECT_EQ(MakeContext(benign).SignatureFor(TableSet(0b0111)), reference);
+}
+
+TEST(SubplanKeyTest, GoldenSignatureFor) {
+  // Snapshots persist memo keys and their hashes; these pinned values
+  // may change only together with a snapshot format_version bump.
+  const auto first = [](int n) {
+    return ObjectiveSet(std::vector<Objective>(kAllObjectives.begin(),
+                                               kAllObjectives.begin() + n));
+  };
+  OperatorRegistry::Options operators;
+  operators.sampling_rates = {0.05, 0.01};
+  operators.dops = {1, 4};
+
+  Catalog sf001 = Catalog::TpcH(0.01);
+  const Query q5 = MakeTpcHQuery(&sf001, 5);
+  const SubplanKeyContext q5_context(q5, first(3), 1.1, operators, true,
+                                     true, false, true);
+  testing::ExpectGoldenKey(q5_context.SignatureFor(TableSet::Prefix(3)),
+                           4335, 0x071ec630c1f92fb4ull,
+                           0x65d53f75630e3d75ull);
+  testing::ExpectGoldenKey(q5_context.SignatureFor(q5.AllTables()), 6580,
+                           0xdbc1dac0fffe7fffull, 0x437003fe90391d92ull);
+
+  Catalog sf1 = Catalog::TpcH(1.0);
+  const Query q8 = MakeTpcHQuery(&sf1, 8);
+  const SubplanKeyContext q8_context(q8, first(6), 1.0, operators, true,
+                                     true, false, true);
+  testing::ExpectGoldenKey(
+      q8_context.SignatureFor(TableSet().With(1).With(4).With(6)), 2873,
+      0xa1372398f95c7a69ull, 0xcb3254420c5c9964ull);
 }
 
 // ---------------------------------------------------------------------------

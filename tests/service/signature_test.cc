@@ -2,6 +2,8 @@
 
 #include "service/signature.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "query/canonical.h"
@@ -11,6 +13,7 @@
 namespace moqo {
 namespace {
 
+using testing::ExpectGoldenKey;
 using testing::MakeStarQuery;
 using testing::MakeTinyCatalog;
 using testing::SmallOptions;
@@ -226,6 +229,77 @@ TEST(SignatureTest, PlanSpaceSwitchesChangeSignature) {
   EXPECT_NE(ComputeSignature(query, FirstObjectives(3), AlgorithmKind::kRta,
                              1.5, no_sampling),
             ref);
+}
+
+// Golden cache identity. Snapshots persist each entry's key bytes and
+// key_hash, and restore trusts the stored hash, so a change to any of
+// these values orphans every persisted snapshot: an encoding or hash
+// change must come with a snapshot format_version bump, never with new
+// golden values.
+
+OptimizerOptions GoldenOptions() {
+  OptimizerOptions options;
+  options.operators.sampling_rates = {0.05, 0.01};
+  options.operators.dops = {1, 4};
+  return options;
+}
+
+TEST(SignatureTest, GoldenComputeSignature) {
+  Catalog sf1 = Catalog::TpcH(1.0);
+  Catalog sf001 = Catalog::TpcH(0.01);
+
+  const Query q3 = MakeTpcHQuery(&sf1, 3);
+  ExpectGoldenKey(ComputeSignature(q3, FirstObjectives(3),
+                                   AlgorithmKind::kRta, 1.5, GoldenOptions()),
+                  4281, 0x54cddc2ca127ded1ull, 0x54eb6ba92d9ca6beull);
+
+  const Query q5 = MakeTpcHQuery(&sf001, 5);
+  WeightVector weights(6);
+  for (int i = 0; i < 6; ++i) weights[i] = 0.5 + i * 0.25;
+  BoundVector bounds(6);
+  bounds[1] = 1e6;
+  bounds[4] = 250.5;
+  ExpectGoldenKey(ComputeSignature(q5, FirstObjectives(6),
+                                   AlgorithmKind::kIra, 1.2, GoldenOptions(),
+                                   &weights, &bounds),
+                  6509, 0x0658257a9e56d47bull, 0x449b5e32657c2edaull);
+
+  const Query q8 = MakeTpcHQuery(&sf1, 8);
+  ExpectGoldenKey(ComputeSignature(q8, FirstObjectives(9),
+                                   AlgorithmKind::kExa, 1.0, GoldenOptions()),
+                  8665, 0xff389b3d02c4c840ull, 0x658e841832843971ull);
+}
+
+TEST(SignatureTest, GoldenExtendSignatureChain) {
+  Catalog catalog = Catalog::TpcH(1.0);
+  const Query q3 = MakeTpcHQuery(&catalog, 3);
+  const ProblemSignature base = ComputeSignature(
+      q3, FirstObjectives(3), AlgorithmKind::kRta, 1.5, GoldenOptions());
+
+  // A session key: the alpha ladder, then the per-rung deadline.
+  const std::vector<double> schedule = {4.0, 2.0, 1.5, 250.0};
+  ProblemSignature chained = base;
+  for (double value : schedule) {
+    chained = ExtendSignature(chained, value);
+    EXPECT_EQ(chained.hash, Fnv1aHash(chained.key));
+  }
+  ExpectGoldenKey(chained, 4313, 0xc351ffa323d485d5ull,
+                  0xb439a0b7be6c8c10ull);
+  EXPECT_EQ(ExtendSignature(base, schedule), chained);
+}
+
+TEST(SignatureTest, ExtendedHashEqualsHashOfExtendedKey) {
+  Catalog catalog = MakeTinyCatalog();
+  const ProblemSignature base =
+      ComputeSignature(MakeStarQuery(&catalog, 3), FirstObjectives(3),
+                       AlgorithmKind::kRta, 1.5, SmallOptions());
+  for (double alpha : {1.0, 1.05, 2.0, 1e9}) {
+    const ProblemSignature extended = ExtendSignature(base, alpha);
+    EXPECT_EQ(extended.hash, Fnv1aHash(extended.key));
+    EXPECT_EQ(extended.key.substr(0, base.key.size()), base.key);
+    EXPECT_EQ(extended.key.size(), base.key.size() + 8);
+  }
+  EXPECT_EQ(ExtendSignature(base, std::vector<double>{}), base);
 }
 
 }  // namespace

@@ -6,11 +6,15 @@
 #ifndef MOQO_TESTS_TESTING_TEST_HELPERS_H_
 #define MOQO_TESTS_TESTING_TEST_HELPERS_H_
 
+#include <cstdint>
 #include <string>
+
+#include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
 #include "core/optimizer.h"
 #include "plan/operators.h"
+#include "query/canonical.h"
 #include "query/query.h"
 #include "util/random.h"
 
@@ -99,6 +103,21 @@ inline CostVector RandomCostVector(Xoshiro256* rng, int dims,
   CostVector cost(dims);
   for (int i = 0; i < dims; ++i) cost[i] = rng->NextDouble() * scale;
   return cost;
+}
+
+/// Checks a canonical cache key (ProblemSignature, SubplanSignature)
+/// against pinned values: its size, a digest that does not use FNV-1a (so
+/// the key bytes themselves are pinned, not only the hash that routes
+/// them), and its hash, which must also be FNV-1a of the key.
+template <typename Signature>
+void ExpectGoldenKey(const Signature& signature, size_t size,
+                     uint64_t digest, uint64_t hash) {
+  uint64_t key_digest = 0;
+  for (unsigned char c : signature.key) key_digest = key_digest * 131 + c;
+  EXPECT_EQ(signature.key.size(), size);
+  EXPECT_EQ(key_digest, digest);
+  EXPECT_EQ(signature.hash, hash);
+  EXPECT_EQ(signature.hash, Fnv1aHash(signature.key));
 }
 
 }  // namespace testing
