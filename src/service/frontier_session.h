@@ -34,10 +34,11 @@
 // with identical spec + ladder coalesce onto one runner, and a refining
 // ladder occupies one admission-controlled in-flight slot.
 //
-// Sessions are preference-free: the spec determines the ladder, and every
-// preference is a selection over published frontiers. The
+// Public sessions are preference-free: the spec determines the ladder, and
+// every preference is a selection over published frontiers. The
 // preference-dependent algorithms (IRA, weighted-sum) therefore cannot
-// back a session; SubmitAndWait falls back to the classic path for them.
+// back an OpenFrontier session. They run as Submit()'s one-step sessions,
+// which carry the caller's preference in their cache and session keys.
 //
 // Thread safety: all public members are safe to call from any thread, and
 // a session handle remains valid (it just stops refining) after the
@@ -73,8 +74,8 @@ class Tracer;
 /// Knobs of one refinement session.
 struct SessionOptions {
   /// First (coarsest) rung of the alpha ladder. Values <= the target
-  /// collapse the ladder to a single rung at the target — that is how
-  /// SubmitAndWait becomes a one-step session.
+  /// collapse the ladder to a single rung at the target — the one-step
+  /// session every Submit() runs.
   double alpha_start = 4.0;
   /// Final precision; <= 0 derives it from the spec's alpha override or
   /// the policy default.
@@ -239,8 +240,8 @@ class FrontierSession {
   /// Preference stored with cache inserts (the opener's, or uniform);
   /// also the weights quick mode optimizes for.
   Preference insert_preference_;
-  /// Total budget from open in ms (< 0 = none); used by the one-step
-  /// SubmitAndWait shim so queue wait counts against the deadline.
+  /// Total budget from open in ms (< 0 = none); set by Submit() so queue
+  /// wait counts against the request deadline.
   int64_t total_deadline_ms_ = -1;
   bool registered_ = false;   ///< In the service's session registry.
   bool holds_slot_ = false;   ///< Owns one admission (in-flight) slot.
@@ -278,7 +279,7 @@ class FrontierSession {
   /// classification needs its stored preference).
   std::shared_ptr<const CachedFrontier> cached_entry_ MOQO_GUARDED_BY(mu_);
   /// The last completed rung's full result (or the degraded quick result
-  /// when nothing completed); what the SubmitAndWait shim answers from.
+  /// when nothing completed); what Submit() answers from.
   std::shared_ptr<const OptimizerResult> final_result_ MOQO_GUARDED_BY(mu_);
   /// Open-to-ladder-pickup wall time.
   double queue_ms_ MOQO_GUARDED_BY(mu_) = 0;

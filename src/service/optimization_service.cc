@@ -59,7 +59,7 @@ double AchievedAlpha(AlgorithmKind algorithm, double alpha) {
 /// The session's precision schedule: geometric in log-alpha from `start`
 /// down to `target` in at most `max_steps` rungs, strictly decreasing,
 /// ending bit-exactly at the target. start <= target collapses to the
-/// single-rung {target} ladder (the SubmitAndWait shim).
+/// single-rung {target} ladder (Submit()'s one-step sessions).
 std::vector<double> MakeAlphaLadder(double start, double target,
                                     int max_steps) {
   if (target < 1.0) target = 1.0;
@@ -118,39 +118,29 @@ std::shared_ptr<const OptimizerResult> ReselectResult(
   return ResultOverPlanSet(base, base->plan_set, weights, bounds);
 }
 
+/// `preference` normalized against a spec of `dims` objectives: empty or
+/// mis-sized weights mean uniform, mis-sized bounds mean unbounded. The
+/// normalized form is what selection, caching, and hit classification all
+/// see.
+Preference NormalizePreference(Preference preference, int dims) {
+  if (preference.weights.size() != dims) {
+    preference.weights = WeightVector::Uniform(dims);
+  }
+  if (preference.bounds.size() != dims) preference.bounds = BoundVector();
+  return preference;
+}
+
 }  // namespace
 
-/// Everything a worker needs to run one admitted request. Shared between
-/// the submit path (which owns the promise), the pool task, and — for
-/// coalesced waiters — the primary that serves them.
-struct OptimizationService::Admitted {
+/// One Submit() call: what each of its opens needs (the first, and a
+/// reopen after a shared ladder degraded), and the promise the last one
+/// resolves.
+struct OptimizationService::SubmitCall {
   ProblemSpec spec;
-  Preference preference;      ///< Weights/bounds normalized at Submit().
-  /// Built once at submit time; `problem.query` points into `spec`.
-  MOQOProblem problem;
-  PolicyDecision decision;
-  /// Alpha-free cache key (relaxed identity).
-  ProblemSignature signature;
-  /// Alpha-extended exact identity: what in-flight duplicates coalesce on.
-  ProblemSignature coalesce_key;
-  bool cacheable = false;
-  /// True iff this request registered the in-flight coalescing entry for
-  /// its coalesce key (i.e. it is the primary later arrivals wait on).
-  bool coalesce_registered = false;
-  int64_t deadline_ms = -1;   ///< Total budget; -1 = none.
-  uint64_t trace_id = 0;      ///< Correlates this request's spans.
-  StopWatch since_submit;     ///< Started at Submit().
+  Preference preference;  ///< Normalized against the spec at Submit().
+  int64_t deadline_ms = -1;  ///< Total budget; -1 = none.
+  StopWatch since_submit;
   std::promise<ServiceResponse> promise;
-
-  /// Resolves the future as kRejected (no result).
-  void Reject() {
-    ServiceResponse response;
-    response.status = ResponseStatus::kRejected;
-    response.algorithm = decision.algorithm;
-    response.alpha = decision.alpha;
-    response.service_ms = since_submit.ElapsedMillis();
-    promise.set_value(std::move(response));
-  }
 };
 
 OptimizationService::OptimizationService(ServiceOptions options)
@@ -368,27 +358,28 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
   TraceSpan open_span(&tracer_, "service", "request.open",
                       session->trace_id_);
 
-  if (session->spec_.query == nullptr) {
-    stats_.RecordInternalError();
+  // Born done with no frontier: an invalid spec, or shed by admission.
+  const auto reject = [&session, info] {
     info->rejected = true;
     {
       MutexLock lock(session->mu_);
       session->rejected_ = true;
     }
     session->MarkDone(nullptr, /*degraded=*/false, /*failed=*/true);
+  };
+
+  if (session->spec_.query == nullptr) {
+    stats_.RecordInternalError();
+    reject();
     return session;
   }
 
-  // Normalize the opener's preference against the spec: it seeds the
-  // quick-mode weights, the stored cache selection, and — for the
-  // one-step shim — the final result's selection.
-  const int dims = session->spec_.objectives.size();
-  Preference resolved;
-  if (preference != nullptr) resolved = *preference;
-  if (resolved.weights.size() != dims) {
-    resolved.weights = WeightVector::Uniform(dims);
-  }
-  if (resolved.bounds.size() != dims) resolved.bounds = BoundVector();
+  // The opener's preference (uniform when absent) seeds the quick-mode
+  // weights, the stored cache selection, and — for the preference-
+  // dependent algorithms — the frontier itself.
+  const Preference resolved = NormalizePreference(
+      preference != nullptr ? *preference : Preference{},
+      session->spec_.objectives.size());
   session->insert_preference_ = resolved;
 
   session->problem_.query = session->spec_.query.get();
@@ -405,19 +396,20 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
     decision.parallelism =
         *session->spec_.parallelism < 1 ? 1 : *session->spec_.parallelism;
   }
+  // Weighted-sum runs the single-plan DP, whose per-set output depends on
+  // the preference — never memo-shared.
+  if (decision.algorithm == AlgorithmKind::kWeightedSum) {
+    decision.use_subplan_memo = false;
+  }
   session->decision_ = decision;
 
-  // Sessions are preference-free by construction; the algorithms whose
-  // whole output depends on the preference cannot back one. (SubmitAndWait
-  // routes them to the classic path before getting here.)
-  if (IsPreferenceDependent(decision.algorithm)) {
+  // The algorithms whose whole frontier depends on the preference (IRA,
+  // weighted-sum) can back only a session opened with one — Submit()'s
+  // one-step sessions, whose cache and session keys then carry it. The
+  // public OpenFrontier is preference-free and rejects them.
+  if (IsPreferenceDependent(decision.algorithm) && preference == nullptr) {
     stats_.RecordInternalError();
-    info->rejected = true;
-    {
-      MutexLock lock(session->mu_);
-      session->rejected_ = true;
-    }
-    session->MarkDone(nullptr, /*degraded=*/false, /*failed=*/true);
+    reject();
     return session;
   }
 
@@ -499,17 +491,12 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
 
   // Takes one admission slot, or marks the session shed. Shared by every
   // stage-3 path so rejection bookkeeping cannot drift between them.
-  const auto try_admit = [this, &session, info]() -> bool {
+  const auto try_admit = [this, &reject]() -> bool {
     const size_t prior = inflight_.fetch_add(1, std::memory_order_acq_rel);
     if (prior < options_.max_inflight) return true;
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     stats_.RecordAdmissionRejected();
-    info->rejected = true;
-    {
-      MutexLock lock(session->mu_);
-      session->rejected_ = true;
-    }
-    session->MarkDone(nullptr, /*degraded=*/false, /*failed=*/true);
+    reject();
     return false;
   };
 
@@ -547,10 +534,10 @@ std::shared_ptr<FrontierSession> OptimizationService::OpenSession(
                             inflight_.load(std::memory_order_relaxed)));
   admission_span.End();
 
-  // Stage 4: race-closing re-probe. A just-finished identical session (or
-  // one-shot run) inserts into the cache *before* unregistering, so a
-  // second uncounted probe here closes the found-no-session window; the
-  // recorded miss is reclassified so each open counts one lookup.
+  // Stage 4: race-closing re-probe. A just-finished identical session
+  // inserts into the cache *before* unregistering, so a second uncounted
+  // probe here closes the found-no-session window; the recorded miss is
+  // reclassified so each open counts one lookup.
   if (options_.enable_cache) {
     bool reprobe_from_tier = false;
     std::shared_ptr<const CachedFrontier> cached = cache_.Lookup(
@@ -709,9 +696,8 @@ void OptimizationService::RunSessionRung(
     return;
   }
 
-  // Remaining total budget (the one-step shim's deadline covers
-  // open-to-response, like the classic path's submit-to-response),
-  // tightened by the per-rung budget.
+  // Remaining total budget (a Submit() deadline covers queue wait and
+  // optimization alike), tightened by the per-rung budget.
   int64_t timeout_ms = -1;
   if (session->total_deadline_ms_ >= 0) {
     const int64_t remaining =
@@ -765,8 +751,8 @@ void OptimizationService::RunSessionRung(
     if (result->metrics.timed_out) {
       // This rung's budget expired. Earlier completed rungs keep their
       // guarantees and the ladder just ends; with nothing completed the
-      // session ends degraded, holding the quick-mode result for the
-      // shim. Never cached.
+      // session ends degraded, holding the quick-mode result for
+      // Submit(). Never cached.
       stats_.RecordDeadlineTimeout();
       stats_.RecordLatency(decision.algorithm, run_watch.ElapsedMillis());
       bool any_completed;
@@ -900,521 +886,134 @@ void OptimizationService::FinishSession(
   session->MarkDone(std::move(final_result), degraded, failed);
 }
 
-ServiceResponse OptimizationService::SubmitAndWait(ServiceRequest request) {
-  // The preference-dependent algorithms (IRA, weighted-sum) cannot be
-  // preference-free sessions; they keep the classic pipeline.
-  if (request.spec.algorithm &&
-      IsPreferenceDependent(*request.spec.algorithm)) {
-    return Submit(std::move(request)).get();
-  }
-
-  stats_.RecordRequest();
-  StopWatch since_submit;
-  const int64_t deadline_ms = request.preference.deadline_ms >= 0
-                                  ? request.preference.deadline_ms
-                                  : options_.default_deadline_ms;
-
-  // One-step session: ladder = {resolved alpha}, no quick prelude (the
-  // rung itself degrades to quick mode on expiry, exactly like the
-  // classic path), the whole deadline as the run budget.
-  SessionOptions session_options;
-  session_options.alpha_start = -1;
-  session_options.max_steps = 1;
-  session_options.quick_first = false;
-  session_options.step_deadline_ms = -1;
-
-  Preference preference = request.preference;
-  ProblemSpec spec = std::move(request.spec);
-  // Deadline-bounded requests never wait on shared work (a waiter cannot
-  // degrade to quick mode mid-wait), so they open private sessions.
-  const bool coalescable = deadline_ms < 0;
-
-  // A joiner whose shared ladder degraded or failed cannot be served from
-  // it (the quick-mode plan depends on the primary's weights); it retries
-  // with its own open. Identical retries coalesce among themselves, so a
-  // failing signature promotes ONE new primary per round instead of
-  // thundering — and each failed primary leaves the retry population, so
-  // the chain terminates.
-  for (;;) {
-    OpenInfo info;
-    std::shared_ptr<FrontierSession> session = OpenSession(
-        spec, session_options, &preference, deadline_ms, coalescable,
-        /*hold_slot_if_joined=*/true, &info);
-
-    ServiceResponse response;
-    response.algorithm = session->decision_.algorithm;
-    response.alpha = session->decision_.alpha;
-
-    if (info.rejected) {
-      response.status = ResponseStatus::kRejected;
-      response.service_ms = since_submit.ElapsedMillis();
-      return response;
-    }
-
-    if (!info.joined && (info.outcome == CacheOutcome::kExactHit ||
-                         info.outcome == CacheOutcome::kFrontierHit ||
-                         info.outcome == CacheOutcome::kTierHit)) {
-      std::shared_ptr<const CachedFrontier> cached;
-      {
-        // Born-done sessions are terminal before OpenSession returns,
-        // but the field is guarded: copy it out under the lock.
-        MutexLock lock(session->mu_);
-        cached = session->cached_entry_;
-      }
-      response.status = ResponseStatus::kCompleted;
-      response.cache = info.outcome;
-      response.alpha = cached->achieved_alpha;
-      const bool same_preference = cached->weights == preference.weights &&
-                                   cached->bounds == preference.bounds;
-      if (same_preference) {
-        response.result = cached->result;
-      } else {
-        response.result = ReselectResult(cached->result, preference.weights,
-                                         preference.bounds);
-      }
-      switch (info.outcome) {
-        case CacheOutcome::kExactHit:
-          stats_.RecordExactHit();
-          break;
-        case CacheOutcome::kFrontierHit:
-          stats_.RecordFrontierHit();
-          break;
-        default:
-          stats_.RecordTierHit();
-          break;
-      }
-      stats_.RecordCompleted();
-      response.service_ms = since_submit.ElapsedMillis();
-      return response;
-    }
-
-    if (info.joined) {
-      {
-        TraceSpan wait_span(&tracer_, "service", "coalesce.wait",
-                            session->trace_id_);
-        session->AwaitTarget();
-      }
-      std::shared_ptr<const OptimizerResult> shared_result;
-      bool usable = false;
-      {
-        MutexLock lock(session->mu_);
-        usable = session->target_reached_ && !session->failed_ &&
-                 session->final_result_ != nullptr;
-        shared_result = session->final_result_;
-      }
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);  // Joiner slot.
-      if (!usable) continue;  // Retry with our own session.
-      response.status = ResponseStatus::kCompleted;
-      response.cache = CacheOutcome::kCoalescedHit;
-      response.alpha = session->BestAlpha();
-      response.result = ReselectResult(shared_result, preference.weights,
-                                       preference.bounds);
-      stats_.RecordCoalescedHit();
-      stats_.RecordCompleted();
-      response.service_ms = since_submit.ElapsedMillis();
-      return response;
-    }
-
-    // Primary: this call's open ran (or is running) the one-rung ladder.
-    session->AwaitTarget();
-    response.cache = CacheOutcome::kMiss;
-    std::shared_ptr<const OptimizerResult> final_result;
-    bool was_failed = false, was_degraded = false, reached = false;
-    {
-      MutexLock lock(session->mu_);
-      response.queue_ms = session->queue_ms_;
-      final_result = session->final_result_;
-      was_failed = session->failed_;
-      was_degraded = session->degraded_;
-      reached = session->target_reached_;
-    }
-    if (was_failed || final_result == nullptr) {
-      response.status = ResponseStatus::kRejected;
-      response.result = nullptr;
-    } else if (was_degraded || !reached) {
-      response.status = ResponseStatus::kCompletedQuick;
-      response.result = final_result;
-      stats_.RecordCompleted();
-    } else {
-      response.status = ResponseStatus::kCompleted;
-      response.alpha = session->BestAlpha();
-      response.result = final_result;
-      stats_.RecordCompleted();
-    }
-    response.service_ms = since_submit.ElapsedMillis();
-    return response;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// The classic asynchronous one-shot pipeline.
+// One-shot requests: one-step sessions answered through a future.
 
 std::future<ServiceResponse> OptimizationService::Submit(
     ServiceRequest request) {
   stats_.RecordRequest();
-  auto admitted = std::make_shared<Admitted>();
-  admitted->trace_id = tracer_.NextId();
-  std::future<ServiceResponse> future = admitted->promise.get_future();
-
-  admitted->deadline_ms = request.preference.deadline_ms >= 0
-                              ? request.preference.deadline_ms
-                              : options_.default_deadline_ms;
-  admitted->spec = std::move(request.spec);
-  admitted->preference = std::move(request.preference);
-
-  if (admitted->spec.query == nullptr) {
-    stats_.RecordInternalError();
-    admitted->Reject();
-    return future;
-  }
-
-  // Normalize the preference against the spec: empty or mis-sized weights
-  // mean uniform, mis-sized bounds mean unbounded. The normalized form is
-  // what selection, caching, and hit classification all see.
-  const int dims = admitted->spec.objectives.size();
-  if (admitted->preference.weights.size() != dims) {
-    admitted->preference.weights = WeightVector::Uniform(dims);
-  }
-  if (admitted->preference.bounds.size() != dims) {
-    admitted->preference.bounds = BoundVector();
-  }
-
-  admitted->problem.query = admitted->spec.query.get();
-  admitted->problem.objectives = admitted->spec.objectives;
-  admitted->problem.weights = admitted->preference.weights;
-  admitted->problem.bounds = admitted->preference.bounds;
-
-  PolicyDecision decision =
-      ChooseAlgorithm(*admitted->spec.query, admitted->spec.objectives,
-                      admitted->deadline_ms, options_.policy);
-  if (admitted->spec.algorithm) {
-    decision.algorithm = *admitted->spec.algorithm;
-  }
-  if (admitted->spec.alpha) decision.alpha = *admitted->spec.alpha;
-  if (admitted->spec.parallelism) {
-    decision.parallelism =
-        *admitted->spec.parallelism < 1 ? 1 : *admitted->spec.parallelism;
-  }
-  // An explicit weighted-sum override runs the single-plan DP, whose
-  // per-set output is preference-dependent — never memo-shared.
-  if (decision.algorithm == AlgorithmKind::kWeightedSum) {
-    decision.use_subplan_memo = false;
-  }
-  admitted->decision = decision;
-
-  bool admission_held = false;
-  if (options_.enable_cache) {
-    admitted->signature = ComputeSignature(
-        *admitted->spec.query, admitted->spec.objectives, decision.algorithm,
-        decision.alpha,
-        MakeOptimizerOptions(decision.alpha, -1, /*parallelism=*/1,
-                             /*use_memo=*/false),
-        &admitted->preference.weights, &admitted->preference.bounds);
-    admitted->coalesce_key =
-        ExtendSignature(admitted->signature, decision.alpha);
-    admitted->cacheable = true;
-    TraceSpan probe_span(&tracer_, "service", "cache.probe",
-                         admitted->trace_id);
-    bool from_tier = false;
-    std::shared_ptr<const CachedFrontier> cached =
-        cache_.Lookup(admitted->signature, decision.alpha,
-                      /*record_stats=*/true, &from_tier);
-    probe_span.AddArg("hit", cached != nullptr ? 1 : 0);
-    probe_span.End();
-    if (cached == nullptr && options_.enable_coalescing) {
-      MutexLock lock(coalesce_mu_);
-      auto it = inflight_by_signature_.find(admitted->coalesce_key);
-      if (it != inflight_by_signature_.end()) {
-        // An identical miss is already being optimized. Deadline-free
-        // requests wait on it instead of optimizing again (waiters hold
-        // admission slots so the pending population stays bounded);
-        // deadline-bounded ones run independently — a waiter cannot
-        // degrade to quick mode when its budget expires mid-wait, and the
-        // primary's run length is unknown.
-        if (admitted->deadline_ms < 0) {
-          const size_t prior =
-              inflight_.fetch_add(1, std::memory_order_acq_rel);
-          if (prior >= options_.max_inflight) {
-            inflight_.fetch_sub(1, std::memory_order_acq_rel);
-            stats_.RecordAdmissionRejected();
-            admitted->Reject();
-            return future;
-          }
-          it->second->waiters.push_back(admitted);
-          return future;
-        }
-      } else {
-        // No entry: either nothing is in flight or the primary just
-        // finished. The primary inserts into the cache *before* erasing
-        // its entry, so this second probe closes the race; the cache's
-        // miss counter is reclassified on a hit so each request still
-        // records exactly one lookup.
-        cached = cache_.Lookup(admitted->signature, decision.alpha,
-                               /*record_stats=*/false, &from_tier);
-        if (cached != nullptr) {
-          cache_.ReclassifyMissAsHit();
-        } else {
-          // Admit the primary BEFORE exposing its entry: waiters may only
-          // park behind an admitted primary, so an admission reject here
-          // can never cascade onto parked waiters, and waiter slots never
-          // crowd out the primary's own slot.
-          const size_t prior =
-              inflight_.fetch_add(1, std::memory_order_acq_rel);
-          if (prior >= options_.max_inflight) {
-            inflight_.fetch_sub(1, std::memory_order_acq_rel);
-            stats_.RecordAdmissionRejected();
-            admitted->Reject();
-            return future;
-          }
-          admission_held = true;
-          inflight_by_signature_[admitted->coalesce_key] =
-              std::make_shared<CoalesceEntry>();
-          admitted->coalesce_registered = true;
-        }
-      }
-    }
-    if (cached != nullptr) {
-      ServeFromCache(admitted, cached, from_tier);
-      return future;
-    }
-  }
-
-  // Admission control: bound queued + running work so overload sheds load
-  // instead of growing queue delay without limit. (Registered primaries
-  // were already admitted under the coalesce lock above.)
-  if (!admission_held) {
-    const size_t prior = inflight_.fetch_add(1, std::memory_order_acq_rel);
-    if (prior >= options_.max_inflight) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      stats_.RecordAdmissionRejected();
-      AbandonPrimary(admitted);
-      return future;
-    }
-  }
-
-  const bool accepted =
-      pool_.Submit([this, admitted] { RunRequest(admitted); });
-  if (!accepted) {  // Shutdown raced the submit.
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    stats_.RecordAdmissionRejected();
-    AbandonPrimary(admitted);
-  }
+  auto call = std::make_shared<SubmitCall>();
+  std::future<ServiceResponse> future = call->promise.get_future();
+  call->deadline_ms = request.preference.deadline_ms >= 0
+                          ? request.preference.deadline_ms
+                          : options_.default_deadline_ms;
+  call->preference = NormalizePreference(std::move(request.preference),
+                                         request.spec.objectives.size());
+  call->spec = std::move(request.spec);
+  OpenForSubmit(call);
   return future;
 }
 
-void OptimizationService::AbandonPrimary(
-    const std::shared_ptr<Admitted>& admitted) {
-  // A primary that registered a coalescing entry but will never run must
-  // flush its waiters, or their futures would hang forever.
-  if (admitted->coalesce_registered) {
-    for (const std::shared_ptr<Admitted>& waiter :
-         TakeWaiters(admitted->coalesce_key)) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      stats_.RecordAdmissionRejected();
-      waiter->Reject();
-    }
-  }
-  admitted->Reject();
+ServiceResponse OptimizationService::SubmitAndWait(ServiceRequest request) {
+  return Submit(std::move(request)).get();
 }
 
-void OptimizationService::ServeFromCache(
-    const std::shared_ptr<Admitted>& admitted,
-    const std::shared_ptr<const CachedFrontier>& cached, bool from_tier) {
+void OptimizationService::OpenForSubmit(
+    const std::shared_ptr<SubmitCall>& call) {
+  // One-step session: ladder = {resolved alpha}, no quick prelude (the
+  // rung itself degrades to quick mode on expiry or failure), the whole
+  // deadline as the run budget.
+  SessionOptions one_step;
+  one_step.alpha_start = -1;
+  one_step.max_steps = 1;
+  one_step.quick_first = false;
+  // Deadline-bounded requests never wait on shared work (a joiner cannot
+  // degrade to quick mode mid-wait), so they open private sessions.
+  OpenInfo info;
+  std::shared_ptr<FrontierSession> session = OpenSession(
+      call->spec, one_step, &call->preference, call->deadline_ms,
+      /*coalescable=*/call->deadline_ms < 0, /*hold_slot_if_joined=*/true,
+      &info);
+  if (info.rejected || (!info.joined && info.outcome != CacheOutcome::kMiss)) {
+    AnswerSubmit(call, *session, info);  // Rejected, or born done.
+    return;
+  }
+  // A ladder runs — ours, or a shared one we joined. OnDone fires on the
+  // thread that finishes it (a worker, the watchdog, or this one if it is
+  // already done); the raw pointer is safe because the finisher holds the
+  // session, and it keeps the session from owning itself via its callback.
+  FrontierSession* raw = session.get();
+  session->OnDone(
+      [this, call, raw, info] { AnswerSubmit(call, *raw, info); });
+}
+
+void OptimizationService::AnswerSubmit(const std::shared_ptr<SubmitCall>& call,
+                                       const FrontierSession& session,
+                                       const OpenInfo& info) {
   ServiceResponse response;
-  response.status = ResponseStatus::kCompleted;
-  response.algorithm = admitted->decision.algorithm;
-  // Report the guarantee the served frontier actually carries — possibly
-  // tighter than requested under the relaxed alpha identity.
-  response.alpha = cached->achieved_alpha;
-  const bool same_preference =
-      cached->weights == admitted->preference.weights &&
-      cached->bounds == admitted->preference.bounds;
-  if (same_preference) {
-    response.result = cached->result;
-  } else {
-    response.result =
-        ReselectResult(cached->result, admitted->preference.weights,
-                       admitted->preference.bounds);
+  response.algorithm = session.decision_.algorithm;
+  response.alpha = session.decision_.alpha;
+  std::shared_ptr<const CachedFrontier> cached;
+  std::shared_ptr<const OptimizerResult> final_result;
+  bool failed = false, degraded = false, reached = false;
+  double best_alpha = kInfiniteAlpha;
+  {
+    MutexLock lock(session.mu_);
+    cached = session.cached_entry_;
+    final_result = session.final_result_;
+    failed = session.failed_;
+    degraded = session.degraded_;
+    reached = session.target_reached_;
+    best_alpha = session.best_alpha_;
+    if (!info.joined) response.queue_ms = session.queue_ms_;
   }
-  // Provenance wins the label: a disk-tier promotion surfaces as kTierHit
-  // whatever the preference match, so tier hits are observable end to end.
-  if (from_tier) {
-    response.cache = CacheOutcome::kTierHit;
-    stats_.RecordTierHit();
-  } else if (same_preference) {
-    response.cache = CacheOutcome::kExactHit;
-    stats_.RecordExactHit();
-  } else {
-    response.cache = CacheOutcome::kFrontierHit;
-    stats_.RecordFrontierHit();
-  }
-  stats_.RecordCompleted();
-  response.service_ms = admitted->since_submit.ElapsedMillis();
-  admitted->promise.set_value(std::move(response));
-}
+  const WeightVector& weights = call->preference.weights;
+  const BoundVector& bounds = call->preference.bounds;
 
-void OptimizationService::ServeCoalesced(
-    const std::shared_ptr<Admitted>& waiter,
-    const std::shared_ptr<const OptimizerResult>& result) {
-  ServiceResponse response;
-  response.status = ResponseStatus::kCompleted;
-  response.cache = CacheOutcome::kCoalescedHit;
-  response.algorithm = waiter->decision.algorithm;
-  response.alpha = waiter->decision.alpha;
-  response.result = ReselectResult(result, waiter->preference.weights,
-                                   waiter->preference.bounds);
-  stats_.RecordCoalescedHit();
-  stats_.RecordCompleted();
-  response.service_ms = waiter->since_submit.ElapsedMillis();
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  waiter->promise.set_value(std::move(response));
-}
-
-std::vector<std::shared_ptr<OptimizationService::Admitted>>
-OptimizationService::TakeWaiters(const ProblemSignature& signature) {
-  MutexLock lock(coalesce_mu_);
-  auto it = inflight_by_signature_.find(signature);
-  if (it == inflight_by_signature_.end()) return {};
-  std::vector<std::shared_ptr<Admitted>> waiters =
-      std::move(it->second->waiters);
-  inflight_by_signature_.erase(it);
-  return waiters;
-}
-
-void OptimizationService::RunRequest(
-    const std::shared_ptr<Admitted>& admitted) {
-  const double queue_ms = admitted->since_submit.ElapsedMillis();
-  TraceSpan request_span(&tracer_, "service", "request",
-                         admitted->trace_id);
-  request_span.AddArg("queue_us", static_cast<int64_t>(queue_ms * 1000.0));
-
-  // Remaining budget after queueing. A spent budget degrades to quick mode
-  // (timeout 0): Section 5.1 still produces one valid plan per table set,
-  // so the caller never sees a null plan.
-  int64_t timeout_ms = -1;
-  if (admitted->deadline_ms >= 0) {
-    const int64_t remaining =
-        admitted->deadline_ms - static_cast<int64_t>(queue_ms);
-    timeout_ms = remaining > 0 ? remaining : 0;
-  }
-
-  const PolicyDecision& decision = admitted->decision;
-  ServiceResponse response;
-  response.algorithm = decision.algorithm;
-  response.alpha = decision.alpha;
-  response.queue_ms = queue_ms;
-
-  std::shared_ptr<const OptimizerResult> produced;
-  bool complete = false;  // True iff produced carries the full guarantee.
-
-  // The future must resolve and the inflight slot must come back even if
-  // the optimizer throws (the EXA can exhaust memory on large instances),
-  // so the whole optimization is fenced.
-  try {
-    // Epoch guard before the memo is read: a catalog whose statistics
-    // were bumped since the memo's entries were published flushes them
-    // (per-catalog tracking, so serving several catalogs does not thrash).
-    if (subplan_memo_ != nullptr && decision.use_subplan_memo) {
-      const Catalog& catalog = admitted->spec.query->catalog();
-      subplan_memo_->ObserveCatalog(&catalog, catalog.epoch());
-    }
-    OptimizerOptions opts = MakeOptimizerOptions(
-        decision.alpha, timeout_ms, decision.parallelism,
-        decision.use_subplan_memo);
-    opts.tracer = &tracer_;
-    opts.trace_id = admitted->trace_id;
-    std::unique_ptr<OptimizerBase> optimizer =
-        MakeOptimizer(decision.algorithm, opts);
-    StopWatch run_watch;
-    TraceSpan optimize_span(&tracer_, "service", "optimize",
-                            admitted->trace_id);
-    optimize_span.AddArg("parallelism", decision.parallelism);
-    auto result = std::make_shared<OptimizerResult>(
-        optimizer->Optimize(admitted->problem));
-    optimize_span.End();
-    const double run_ms = run_watch.ElapsedMillis();
-
-    const bool timed_out = result->metrics.timed_out;
-    complete = !timed_out;
-    if (admitted->cacheable && !timed_out) {
-      // Insert before the promise resolves and before waiters drain: the
-      // Submit() race-closing probe relies on insert-before-erase.
-      cache_.Insert(
-          admitted->signature,
-          MakeCacheEntry(result, admitted->preference.weights,
-                         admitted->preference.bounds,
-                         AchievedAlpha(decision.algorithm, decision.alpha)));
-    }
-    if (timed_out) stats_.RecordDeadlineTimeout();
-    stats_.RecordLatency(decision.algorithm, run_ms);
-    stats_.RecordCompleted();
-
-    response.status = timed_out ? ResponseStatus::kCompletedQuick
-                                : ResponseStatus::kCompleted;
-    produced = result;
-    response.result = std::move(result);
-
-    SlowQueryEntry slow;
-    slow.signature = admitted->signature.hash;
-    slow.algorithm = AlgorithmName(decision.algorithm);
-    slow.total_ms = admitted->since_submit.ElapsedMillis();
-    slow.queue_ms = queue_ms;
-    slow.optimize_ms = run_ms;
-    slow.alpha = decision.alpha;
-    slow.frontier_size = produced->frontier_size();
-    slow.phase = queue_ms > run_ms ? "queue" : "optimize";
-    slow.sequence = slow_seq_.fetch_add(1, std::memory_order_relaxed);
-    slow_log_.Offer(slow);
-  } catch (...) {
+  if (info.rejected) {
     response.status = ResponseStatus::kRejected;
-    response.result = nullptr;
-    stats_.RecordInternalError();
-  }
-  response.service_ms = admitted->since_submit.ElapsedMillis();
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  admitted->promise.set_value(std::move(response));
-
-  // Serve requests that coalesced behind this signature. Only the
-  // registrant drains — a re-run ex-waiter must not steal a newer
-  // primary's entry. A complete result answers every waiter by selection
-  // over the shared PlanSet. A degraded or failed run (whose quick-mode
-  // plan depends on the primary's weights) promotes ONE waiter to a new
-  // primary and re-parks the rest behind it, so a failing signature never
-  // fans out into a thundering herd of identical DP runs.
-  if (admitted->coalesce_registered) {
-    std::vector<std::shared_ptr<Admitted>> waiters =
-        TakeWaiters(admitted->coalesce_key);
-    if (complete && produced != nullptr) {
-      for (const std::shared_ptr<Admitted>& waiter : waiters) {
-        ServeCoalesced(waiter, produced);
-      }
-    } else if (!waiters.empty()) {
-      std::shared_ptr<Admitted> promoted;
-      {
-        MutexLock lock(coalesce_mu_);
-        auto it = inflight_by_signature_.find(admitted->coalesce_key);
-        if (it != inflight_by_signature_.end()) {
-          // A newer primary already took over: park everyone behind it.
-          for (std::shared_ptr<Admitted>& waiter : waiters) {
-            it->second->waiters.push_back(std::move(waiter));
-          }
-        } else {
-          promoted = waiters.front();
-          promoted->coalesce_registered = true;
-          auto entry = std::make_shared<CoalesceEntry>();
-          entry->waiters.assign(waiters.begin() + 1, waiters.end());
-          inflight_by_signature_[admitted->coalesce_key] = std::move(entry);
-        }
-      }
-      // Waiters are deadline-free, so a promoted primary runs without a
-      // timeout and can only fail outright (e.g. OOM) — each failure
-      // consumes one waiter, so promotion chains terminate.
-      if (promoted != nullptr &&
-          !pool_.Submit([this, promoted] { RunRequest(promoted); })) {
-        RunRequest(promoted);  // Shutdown drain: run inline, never hang.
-      }
+  } else if (info.joined) {
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);  // Joiner slot.
+    if (!reached || failed || final_result == nullptr) {
+      // The shared ladder degraded or failed, and its quick-mode plan
+      // depends on its opener's weights: open again. Identical reopens
+      // coalesce among themselves, so a failing signature promotes ONE new
+      // primary per round instead of a thundering herd — and each failed
+      // primary leaves the reopening population, so the chain terminates.
+      OpenForSubmit(call);
+      return;
     }
+    response.status = ResponseStatus::kCompleted;
+    response.cache = CacheOutcome::kCoalescedHit;
+    response.alpha = best_alpha;
+    response.result = ReselectResult(final_result, weights, bounds);
+    stats_.RecordCoalescedHit();
+    stats_.RecordCompleted();
+  } else if (cached != nullptr) {
+    // Born done from the cache: report the guarantee the entry carries —
+    // possibly tighter than requested under the relaxed alpha identity.
+    response.status = ResponseStatus::kCompleted;
+    response.cache = info.outcome;
+    response.alpha = cached->achieved_alpha;
+    response.result = cached->weights == weights && cached->bounds == bounds
+                          ? cached->result
+                          : ReselectResult(cached->result, weights, bounds);
+    switch (info.outcome) {
+      case CacheOutcome::kExactHit:
+        stats_.RecordExactHit();
+        break;
+      case CacheOutcome::kFrontierHit:
+        stats_.RecordFrontierHit();
+        break;
+      default:
+        stats_.RecordTierHit();
+        break;
+    }
+    stats_.RecordCompleted();
+  } else if (failed || final_result == nullptr) {
+    response.status = ResponseStatus::kRejected;
+  } else {
+    // Our own ladder ran. A degraded run holds the quick-mode result
+    // (deadline expiry, or the rung failed and fell back to Section 5.1).
+    const bool complete = reached && !degraded;
+    response.status = complete ? ResponseStatus::kCompleted
+                               : ResponseStatus::kCompletedQuick;
+    if (complete) response.alpha = best_alpha;
+    response.result = std::move(final_result);
+    stats_.RecordCompleted();
   }
+  response.service_ms = call->since_submit.ElapsedMillis();
+  call->promise.set_value(std::move(response));
 }
 
 ServiceStatsSnapshot OptimizationService::Stats() const {
@@ -1451,7 +1050,7 @@ ServiceStatsSnapshot OptimizationService::Stats() const {
 void OptimizationService::RegisterMetrics() {
   const auto stat = [this](uint64_t ServiceStatsSnapshot::*field) {
     return [this, field]() -> double {
-      return static_cast<double>(stats_.Snapshot().*field);
+      return static_cast<double>(stats_.Counter(field));
     };
   };
   metrics_.AddCounter("moqo_requests_total", "One-shot requests submitted",
@@ -1540,17 +1139,17 @@ void OptimizationService::RegisterMetrics() {
                         });
   metrics_.AddHistogram("moqo_step_latency_ms",
                         "Per-rung refinement step latency", [this] {
-                          return stats_.Snapshot().step_latency;
+                          return stats_.StepLatency();
                         });
   metrics_.AddHistogram("moqo_first_frontier_ms",
                         "Session open to first published frontier", [this] {
-                          return stats_.Snapshot().first_frontier_latency;
+                          return stats_.FirstFrontierLatency();
                         });
   for (int i = 0; i < kNumAlgorithmKinds; ++i) {
     metrics_.AddHistogram(
         "moqo_request_latency_ms", "Fresh optimization latency by algorithm",
         {{"algorithm", AlgorithmName(static_cast<AlgorithmKind>(i))}},
-        [this, i] { return stats_.Snapshot().latency_by_algorithm[i]; });
+        [this, i] { return stats_.Latency(i); });
   }
 
   metrics_.AddGauge("moqo_slow_query_worst_ms",

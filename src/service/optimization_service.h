@@ -8,28 +8,30 @@
 // frontier (cached or quick-mode), refines it in the background over a
 // geometric alpha ladder, answers Select(preference) at any moment in
 // O(|frontier|), and supports cancellation and per-rung deadlines (see
-// service/frontier_session.h for the full story). The classic one-shot
-// calls remain as thin layers over the same machinery:
+// service/frontier_session.h for the full story). There is one request
+// pipeline: the one-shot calls ride the same sessions.
 //
-//   - SubmitAndWait() is a ONE-STEP session: ladder = {resolved alpha},
-//     no quick prelude, the request deadline as the rung budget. Its
-//     results are byte-identical to driving a session by hand, and
-//     identical-spec deadline-free calls coalesce onto one session.
-//     (Preference-dependent algorithms — IRA, weighted-sum — cannot be
-//     preference-free sessions and fall back to Submit().get().)
-//   - Submit() keeps the PR 1-4 asynchronous pipeline: cache probe ->
-//     in-flight coalescing -> admission control -> worker pool, with
-//     deadline degradation to Section 5.1 quick mode.
+//   - Submit() opens a ONE-STEP session — ladder = {resolved alpha}, no
+//     quick prelude, the request deadline as the run budget — and returns
+//     a future the session's completion resolves. Its results are
+//     byte-identical to driving a session by hand; identical-spec
+//     deadline-free calls coalesce onto one session, and a deadline or an
+//     optimizer failure degrades to Section 5.1 quick mode. The
+//     preference-dependent algorithms (IRA, weighted-sum) are served the
+//     same way: their cache and session keys carry the caller's alpha,
+//     weights and bounds (service/signature.h), so only identical
+//     preferences share a run.
+//   - SubmitAndWait() is Submit().get().
 //
-// Both paths share the PlanCache, which since PR 5 uses *relaxed alpha
+// Sessions share the PlanCache, which since PR 5 uses *relaxed alpha
 // identity*: signatures of frontier-producing algorithms are alpha-free
 // (service/signature.h), entries are tagged with the alpha their run
 // achieved, and a tighter-alpha entry serves any looser-alpha request —
 // so a session's refinement ladder progressively upgrades one entry that
 // every later request benefits from, and a request under a tight deadline
 // (coarse policy alpha) is answered by any precise frontier already
-// cached. Exact-run identity, where it matters (in-flight coalescing, the
-// session registry), uses the alpha-extended signature.
+// cached. Exact-run identity, where it matters (the session registry that
+// coalescing runs on), extends the signature with the whole ladder.
 
 #ifndef MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
 #define MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
@@ -130,8 +132,8 @@ struct ServiceOptions {
   int64_t default_deadline_ms = -1;
   /// Set false to bypass the cache entirely (benchmarking cold paths).
   bool enable_cache = true;
-  /// Set false to disable in-flight request coalescing AND session
-  /// coalescing (each duplicate then runs its own optimization).
+  /// Set false to disable session coalescing, which one-shot requests
+  /// ride too (each duplicate then runs its own optimization).
   bool enable_coalescing = true;
   /// Frontier compaction before caching: PlanSets larger than this are
   /// shrunk to an epsilon-coverage subset (CompactPlanSet) before the
@@ -204,26 +206,30 @@ class OptimizationService {
   /// already holds a first frontier when the cache can seed one or
   /// options.quick_first is set. Identical (spec, ladder) opens coalesce
   /// onto one running session — each caller still owns one Cancel().
-  /// Never returns null: invalid specs (null query, preference-dependent
-  /// algorithm override) and admission rejections yield a session that is
-  /// born Done() with no frontier.
+  /// Never returns null: invalid specs (null query, or a
+  /// preference-dependent algorithm override — IRA and weighted-sum need
+  /// the caller's preference, which only Submit() carries) and admission
+  /// rejections yield a session that is born Done() with no frontier.
   std::shared_ptr<FrontierSession> OpenFrontier(ProblemSpec spec,
                                                 SessionOptions options = {});
 
-  /// Submits a request; the future always resolves (accepted requests run
-  /// to completion even during shutdown, rejected ones resolve
-  /// immediately). Never throws on load: overload surfaces as kRejected.
+  /// Runs `request` as a one-step session (ladder = {resolved alpha}) and
+  /// answers from its frontier — byte-identical to opening that session by
+  /// hand. Cache hits and rejections resolve the future before Submit
+  /// returns; otherwise the session's completion resolves it, on the
+  /// thread that finished the run. The future always resolves (accepted
+  /// requests run to completion even during shutdown). Never throws on
+  /// load: overload surfaces as kRejected. Deadline-free duplicates
+  /// coalesce onto one session; a joiner whose shared run degraded opens
+  /// again. Completed responses report the achieved alpha.
   std::future<ServiceResponse> Submit(ServiceRequest request);
 
-  /// The one-shot compatibility shim: runs `request` as a one-step
-  /// session (ladder = {resolved alpha}) and answers from its frontier —
-  /// byte-identical to opening that session by hand. Deadline-free
-  /// duplicates coalesce onto one session; preference-dependent
-  /// algorithm overrides fall back to Submit().get().
+  /// Submit(request).get().
   ServiceResponse SubmitAndWait(ServiceRequest request);
 
-  /// Currently queued or running requests, including coalesced waiters
-  /// and actively refining sessions (cache hits never count).
+  /// Currently queued or running requests, including joiners waiting on a
+  /// shared one-step session and actively refining sessions (cache hits
+  /// never count).
   size_t InFlight() const { return inflight_.load(std::memory_order_relaxed); }
 
   int num_workers() const { return pool_.num_threads(); }
@@ -281,12 +287,7 @@ class OptimizationService {
   persist::PersistStatsSnapshot PersistStats() const;
 
  private:
-  struct Admitted;  // One queued request's state.
-
-  /// Waiters parked behind one in-flight signature.
-  struct CoalesceEntry {
-    std::vector<std::shared_ptr<Admitted>> waiters;
-  };
+  struct SubmitCall;  // One Submit() call's request and promise.
 
   /// How OpenSession answered the caller.
   struct OpenInfo {
@@ -301,11 +302,12 @@ class OptimizationService {
   OptimizerOptions MakeOptimizerOptions(double alpha, int64_t timeout_ms,
                                         int parallelism, bool use_memo);
 
-  /// The shared open path behind OpenFrontier and the SubmitAndWait shim.
-  /// `preference` (may be null = uniform) seeds quick-mode weights and the
-  /// cached selection; `deadline_ms` feeds the policy and, for one-step
-  /// sessions, bounds the whole ladder; `hold_slot_if_joined` makes a
-  /// joiner take an admission slot (the shim's waiters stay bounded).
+  /// The shared open path behind OpenFrontier and Submit. `preference`
+  /// (null = uniform) seeds quick-mode weights and the cached selection,
+  /// and admits the preference-dependent algorithms (null rejects them);
+  /// `deadline_ms` feeds the policy and bounds the whole ladder;
+  /// `hold_slot_if_joined` makes a joiner take an admission slot (waiting
+  /// one-shot requests stay bounded).
   std::shared_ptr<FrontierSession> OpenSession(ProblemSpec spec,
                                                const SessionOptions& options,
                                                const Preference* preference,
@@ -362,25 +364,15 @@ class OptimizationService {
       const WeightVector& weights, const BoundVector& bounds,
       double achieved_alpha);
 
-  /// Builds and resolves a response from a cached frontier (exact,
-  /// frontier, or — when the entry was promoted from disk — tier hit).
-  void ServeFromCache(const std::shared_ptr<Admitted>& admitted,
-                      const std::shared_ptr<const CachedFrontier>& cached,
-                      bool from_tier);
+  /// Opens `call`'s one-step session and answers it now (rejected, born
+  /// done) or from the session's OnDone callback.
+  void OpenForSubmit(const std::shared_ptr<SubmitCall>& call);
 
-  /// Rejects a primary that will never run (admission/shutdown), flushing
-  /// any waiters already parked on its coalescing entry.
-  void AbandonPrimary(const std::shared_ptr<Admitted>& admitted);
-
-  /// Resolves a coalesced waiter from the primary's completed result.
-  void ServeCoalesced(const std::shared_ptr<Admitted>& waiter,
-                      const std::shared_ptr<const OptimizerResult>& result);
-
-  /// Removes and returns the waiter list for `signature` (empty if none).
-  std::vector<std::shared_ptr<Admitted>> TakeWaiters(
-      const ProblemSignature& signature);
-
-  void RunRequest(const std::shared_ptr<Admitted>& admitted);
+  /// Resolves `call` from its terminal `session` — or, when `call` joined
+  /// a shared run that degraded or failed, releases the joiner's slot and
+  /// opens again. Never blocks: it runs inside OnDone callbacks.
+  void AnswerSubmit(const std::shared_ptr<SubmitCall>& call,
+                    const FrontierSession& session, const OpenInfo& info);
 
   /// Last-resort degradation (PR 8): when a rung dies mid-flight
   /// (allocation failure, injected fault) and nothing has completed yet,
@@ -426,12 +418,6 @@ class OptimizationService {
   std::shared_ptr<persist::PersistCounters> persist_counters_ =
       std::make_shared<persist::PersistCounters>();
   Mutex snapshot_mu_;  ///< Serializes SnapshotNow/RestoreNow.
-
-  Mutex coalesce_mu_;
-  /// Keyed by the alpha-EXTENDED signature: runs at different precisions
-  /// must not coalesce even though they share a cache entry.
-  std::unordered_map<ProblemSignature, std::shared_ptr<CoalesceEntry>>
-      inflight_by_signature_ MOQO_GUARDED_BY(coalesce_mu_);
 
   /// Live refinement sessions by exact session key (spec + ladder + step
   /// budget); entries are removed when the ladder finishes, *after* its

@@ -35,8 +35,8 @@ struct ProblemSpec {
   ObjectiveSet objectives;
   /// Overrides for the policy layer's auto-selection. Note: kIra and
   /// kWeightedSum produce preference-dependent output, so their cache
-  /// entries are shared only between identical preferences (and they
-  /// cannot back a FrontierSession, which is preference-free by design).
+  /// entries and runs are shared only between identical preferences, and
+  /// only Submit() serves them (OpenFrontier is preference-free by design).
   std::optional<AlgorithmKind> algorithm;
   std::optional<double> alpha;
   /// Override for the policy's intra-query DP parallelism (1 = force

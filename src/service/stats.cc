@@ -16,23 +16,50 @@ void AppendQuantiles(std::ostringstream* out, const HistogramSnapshot& h) {
 
 }  // namespace
 
+const std::pair<uint64_t ServiceStatsSnapshot::*, ServiceStatsRegistry::Field>
+    ServiceStatsRegistry::kCounters[] = {
+        {&ServiceStatsSnapshot::requests_total,
+         &ServiceStatsRegistry::requests_total_},
+        {&ServiceStatsSnapshot::exact_hits, &ServiceStatsRegistry::exact_hits_},
+        {&ServiceStatsSnapshot::frontier_hits,
+         &ServiceStatsRegistry::frontier_hits_},
+        {&ServiceStatsSnapshot::coalesced_hits,
+         &ServiceStatsRegistry::coalesced_hits_},
+        {&ServiceStatsSnapshot::tier_hits, &ServiceStatsRegistry::tier_hits_},
+        {&ServiceStatsSnapshot::admissions_rejected,
+         &ServiceStatsRegistry::admissions_rejected_},
+        {&ServiceStatsSnapshot::internal_errors,
+         &ServiceStatsRegistry::internal_errors_},
+        {&ServiceStatsSnapshot::deadline_timeouts,
+         &ServiceStatsRegistry::deadline_timeouts_},
+        {&ServiceStatsSnapshot::completed, &ServiceStatsRegistry::completed_},
+        {&ServiceStatsSnapshot::sessions_opened,
+         &ServiceStatsRegistry::sessions_opened_},
+        {&ServiceStatsSnapshot::sessions_coalesced,
+         &ServiceStatsRegistry::sessions_coalesced_},
+        {&ServiceStatsSnapshot::sessions_active,
+         &ServiceStatsRegistry::sessions_active_},
+        {&ServiceStatsSnapshot::refinement_steps,
+         &ServiceStatsRegistry::refinement_steps_},
+        {&ServiceStatsSnapshot::refinement_sheds,
+         &ServiceStatsRegistry::refinement_sheds_},
+        {&ServiceStatsSnapshot::watchdog_fires,
+         &ServiceStatsRegistry::watchdog_fires_},
+};
+
+uint64_t ServiceStatsRegistry::Counter(
+    uint64_t ServiceStatsSnapshot::*field) const {
+  for (const auto& [snapshot_field, counter] : kCounters) {
+    if (snapshot_field == field) return (this->*counter).load(kRelaxed);
+  }
+  return 0;
+}
+
 ServiceStatsSnapshot ServiceStatsRegistry::Snapshot() const {
   ServiceStatsSnapshot snapshot;
-  snapshot.requests_total = requests_total_.load(kRelaxed);
-  snapshot.exact_hits = exact_hits_.load(kRelaxed);
-  snapshot.frontier_hits = frontier_hits_.load(kRelaxed);
-  snapshot.coalesced_hits = coalesced_hits_.load(kRelaxed);
-  snapshot.tier_hits = tier_hits_.load(kRelaxed);
-  snapshot.admissions_rejected = admissions_rejected_.load(kRelaxed);
-  snapshot.internal_errors = internal_errors_.load(kRelaxed);
-  snapshot.deadline_timeouts = deadline_timeouts_.load(kRelaxed);
-  snapshot.completed = completed_.load(kRelaxed);
-  snapshot.sessions_opened = sessions_opened_.load(kRelaxed);
-  snapshot.sessions_coalesced = sessions_coalesced_.load(kRelaxed);
-  snapshot.sessions_active = sessions_active_.load(kRelaxed);
-  snapshot.refinement_steps = refinement_steps_.load(kRelaxed);
-  snapshot.refinement_sheds = refinement_sheds_.load(kRelaxed);
-  snapshot.watchdog_fires = watchdog_fires_.load(kRelaxed);
+  for (const auto& [snapshot_field, counter] : kCounters) {
+    snapshot.*snapshot_field = (this->*counter).load(kRelaxed);
+  }
   snapshot.step_latency = step_latency_.Snapshot();
   snapshot.first_frontier_latency = first_frontier_.Snapshot();
   for (int i = 0; i < kNumAlgorithms; ++i) {

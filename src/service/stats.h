@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm.h"
@@ -35,8 +36,8 @@ struct ServiceStatsSnapshot {
   /// Cache hits resolved by SelectPlan over the shared PlanSet (the
   /// preference — weights/bounds — differed from the cached one).
   uint64_t frontier_hits = 0;
-  /// Requests that waited on an identical in-flight miss instead of
-  /// optimizing again, then selected from the primary's frontier.
+  /// One-shot requests that joined an identical deadline-free one-step
+  /// session instead of optimizing again, then selected from its frontier.
   uint64_t coalesced_hits = 0;
   /// Cache hits served from the RAM→disk tier (the entry had been evicted
   /// from RAM, demoted to a segment file, and was promoted back by this
@@ -69,16 +70,16 @@ struct ServiceStatsSnapshot {
   size_t memo_entries = 0;
   size_t memo_bytes = 0;
   /// Anytime-session counters (PR 5). `sessions_opened` counts public
-  /// OpenFrontier calls (the SubmitAndWait shim's internal one-step
-  /// sessions count as requests, not sessions); `sessions_coalesced`
-  /// counts opens (including shim calls) that attached to an already
-  /// running identical refinement instead of starting their own.
+  /// OpenFrontier calls (Submit()'s internal one-step sessions count as
+  /// requests, not sessions); `sessions_coalesced` counts opens (Submit()
+  /// calls included) that attached to an already running identical
+  /// refinement instead of starting their own.
   uint64_t sessions_opened = 0;
   uint64_t sessions_coalesced = 0;
-  /// Refinement ladders currently running (gauge; each holds one
-  /// admission slot).
+  /// Ladders currently running, one-step ones included (gauge; each holds
+  /// one admission slot).
   uint64_t sessions_active = 0;
-  /// Completed ladder rungs across all sessions (includes the shim's
+  /// Completed ladder rungs across all sessions (includes Submit()'s
   /// one-step rungs).
   uint64_t refinement_steps = 0;
   /// Ladders ended early by priority admission under overload (PR 7):
@@ -176,8 +177,26 @@ class ServiceStatsRegistry {
   /// registry leaves them zero/empty.
   ServiceStatsSnapshot Snapshot() const;
 
+  /// Single-value reads for metric samplers: each loads only its own
+  /// counter or histogram, where Snapshot() copies every histogram.
+  /// `field` names one of the registry's counters in the snapshot (any
+  /// other field reads 0).
+  uint64_t Counter(uint64_t ServiceStatsSnapshot::*field) const;
+  HistogramSnapshot StepLatency() const { return step_latency_.Snapshot(); }
+  HistogramSnapshot FirstFrontierLatency() const {
+    return first_frontier_.Snapshot();
+  }
+  HistogramSnapshot Latency(int algorithm) const {
+    return latency_[algorithm].Snapshot();
+  }
+
  private:
   static constexpr auto kRelaxed = std::memory_order_relaxed;
+  using Field = std::atomic<uint64_t> ServiceStatsRegistry::*;
+  /// Each counter's snapshot field and backing atomic: the one mapping
+  /// both Snapshot() and Counter() read.
+  static const std::pair<uint64_t ServiceStatsSnapshot::*, Field>
+      kCounters[];
 
   std::atomic<uint64_t> requests_total_{0};
   std::atomic<uint64_t> exact_hits_{0};

@@ -221,6 +221,51 @@ TEST(ObservabilityTest, MetricsTextCoversCountersOccupancyAndHistograms) {
   EXPECT_NE(text.find("moqo_completed_total 2"), std::string::npos);
 }
 
+TEST(ObservabilityTest, StatsRegistryPerFieldReadsMatchSnapshot) {
+  // The metric samplers read one counter or histogram each; every read
+  // must agree with the field Snapshot() reports.
+  ServiceStatsRegistry registry;
+  registry.RecordRequest();
+  registry.RecordRequest();
+  registry.RecordCompleted();
+  registry.RecordCoalescedHit();
+  registry.RecordTierHit();
+  registry.RecordSessionStarted();
+  registry.RecordWatchdogFire();
+  registry.RecordRefinementStep(2.5);
+  registry.RecordFirstFrontier(1.5);
+  registry.RecordLatency(AlgorithmKind::kIra, 7.0);
+  const ServiceStatsSnapshot snapshot = registry.Snapshot();
+  for (uint64_t ServiceStatsSnapshot::*field :
+       {&ServiceStatsSnapshot::requests_total,
+        &ServiceStatsSnapshot::exact_hits,
+        &ServiceStatsSnapshot::frontier_hits,
+        &ServiceStatsSnapshot::coalesced_hits,
+        &ServiceStatsSnapshot::tier_hits,
+        &ServiceStatsSnapshot::admissions_rejected,
+        &ServiceStatsSnapshot::internal_errors,
+        &ServiceStatsSnapshot::deadline_timeouts,
+        &ServiceStatsSnapshot::completed,
+        &ServiceStatsSnapshot::sessions_opened,
+        &ServiceStatsSnapshot::sessions_coalesced,
+        &ServiceStatsSnapshot::sessions_active,
+        &ServiceStatsSnapshot::refinement_steps,
+        &ServiceStatsSnapshot::refinement_sheds,
+        &ServiceStatsSnapshot::watchdog_fires}) {
+    EXPECT_EQ(registry.Counter(field), snapshot.*field);
+  }
+  EXPECT_EQ(registry.Counter(&ServiceStatsSnapshot::requests_total), 2u);
+  EXPECT_EQ(registry.StepLatency().count, snapshot.step_latency.count);
+  EXPECT_EQ(registry.FirstFrontierLatency().sum_ms,
+            snapshot.first_frontier_latency.sum_ms);
+  for (int i = 0; i < kNumAlgorithmKinds; ++i) {
+    EXPECT_EQ(registry.Latency(i).count,
+              snapshot.latency_by_algorithm[i].count);
+  }
+  EXPECT_EQ(registry.Latency(static_cast<int>(AlgorithmKind::kIra)).count,
+            1u);
+}
+
 TEST(ObservabilityTest, SlowQueryLogHonorsConfiguredCapacity) {
   Catalog catalog = MakeTinyCatalog();
   ServiceOptions options;

@@ -3,6 +3,7 @@
 #include "service/optimization_service.h"
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <limits>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "core/exa.h"
 #include "harness/service_experiment.h"
 #include "query/tpch_queries.h"
+#include "rt/failpoint.h"
 #include "service/policy.h"
 #include "testing/test_helpers.h"
 
@@ -65,6 +67,68 @@ double MinWeightedCost(const PlanSet& set, const WeightVector& weights) {
   }
   return best;
 }
+
+/// Pins the only worker of a one-worker service until Release(), so that
+/// requests submitted meanwhile queue behind it deterministically: a
+/// one-step session whose publish callback blocks on the worker. The
+/// callback registration races the rung; a rung that already published is
+/// replayed on this thread instead, and the gate retries on a fresh spec.
+class WorkerGate {
+ public:
+  WorkerGate(OptimizationService* service, const Catalog* catalog) {
+    SessionOptions one_step;
+    one_step.alpha_start = -1;
+    one_step.max_steps = 1;
+    one_step.quick_first = false;
+    const std::thread::id opener = std::this_thread::get_id();
+    std::future<void> entered = entered_.get_future();
+    for (int objectives = kNumObjectives; objectives >= 2; --objectives) {
+      ProblemSpec spec;
+      spec.query = std::make_shared<Query>(MakeStarQuery(catalog, 3));
+      spec.objectives = FirstObjectives(objectives);
+      spec.algorithm = AlgorithmKind::kExa;
+      session_ = service->OpenFrontier(spec, one_step);
+      auto replayed = std::make_shared<bool>(false);
+      std::shared_future<void> release = release_.get_future().share();
+      session_->OnRefined([this, opener, replayed,
+                           release](const RefinedFrontier&) {
+        if (std::this_thread::get_id() == opener) {
+          *replayed = true;
+          return;
+        }
+        entered_.set_value();
+        release.wait();
+      });
+      if (!*replayed) {
+        if (entered.wait_for(std::chrono::seconds(30)) !=
+            std::future_status::ready) {
+          ADD_FAILURE() << "worker gate rung never published";
+        }
+        return;
+      }
+      release_ = std::promise<void>();  // That gate missed; a fresh one.
+    }
+    ADD_FAILURE() << "worker gate never pinned the worker";
+  }
+
+  WorkerGate(const WorkerGate&) = delete;
+  WorkerGate& operator=(const WorkerGate&) = delete;
+  ~WorkerGate() { Release(); }
+
+  /// Lets the worker go and waits for the gate's session to finish.
+  void Release() {
+    if (released_) return;
+    released_ = true;
+    release_.set_value();
+    session_->AwaitTarget();
+  }
+
+ private:
+  std::promise<void> entered_;
+  std::promise<void> release_;
+  bool released_ = false;
+  std::shared_ptr<FrontierSession> session_;
+};
 
 TEST(PolicyTest, RoutesBySpecShape) {
   Catalog catalog = MakeTinyCatalog();
@@ -449,10 +513,13 @@ TEST(ServiceTest, CoalescedDuplicateMissesOptimizeOnce) {
 }
 
 TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
-  // A primary that quick-modes cannot serve its waiters (its plan depends
-  // on its own weights and carries no guarantee): exactly ONE waiter is
-  // promoted to a fresh full run and the rest are served from that run —
-  // no thundering herd of identical DPs.
+  // A deadline-bounded request that quick-modes must not drag identical
+  // deadline-free requests down with it: it opens a private one-step
+  // session (a joiner could not degrade to quick mode mid-wait), so the
+  // waiters coalesce among themselves — exactly ONE of them runs the full
+  // DP and the rest select from that run, no thundering herd. (The shared
+  // ladder that really degrades under its joiners is
+  // DegradedSharedLadderReopensOneJoinerNotAll.)
   Catalog catalog = MakeTinyCatalog();
   ServiceOptions options = SmallServiceOptions(1);
   // The subplan memo would let the heavy runs below share their DP work
@@ -488,7 +555,7 @@ TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
     heavy_futures.push_back(service.Submit(heavy));
   }
 
-  // Primary with an already-hopeless deadline: by the time the single
+  // A request with an already-hopeless deadline: by the time the single
   // worker reaches it, it degrades to quick mode and cannot be cached.
   ServiceRequest dup = StarRequest(&catalog, 2, 3);
   ServiceRequest doomed = dup;
@@ -498,7 +565,8 @@ TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
   constexpr int kWaiters = 4;
   std::vector<std::future<ServiceResponse>> futures;
   for (int i = 0; i < kWaiters; ++i) {
-    ServiceRequest request = dup;  // Deadline-free: parks as waiter.
+    // Deadline-free: the first opens the shared session, the rest join it.
+    ServiceRequest request = dup;
     request.preference.weights = WeightVector::Uniform(3);
     request.preference.weights[0] = 2.0 + i;
     futures.push_back(service.Submit(request));
@@ -517,7 +585,7 @@ TEST(ServiceTest, DegradedPrimaryPromotesOneWaiterNotAll) {
   EXPECT_EQ(promoted_misses, 1);
   EXPECT_EQ(coalesced, kWaiters - 1);
   for (std::future<ServiceResponse>& future : heavy_futures) future.get();
-  // kHeavy heavies + doomed quick run + ONE promoted full run.
+  // kHeavy heavies + doomed quick run + ONE full run for all waiters.
   EXPECT_EQ(OptimizerRuns(service), kHeavy + 2u);
   EXPECT_EQ(service.InFlight(), 0u);
 }
@@ -548,6 +616,219 @@ TEST(ServiceTest, DeadlineBoundedDuplicatesDoNotCoalesce) {
   EXPECT_NE(heavy_future.get().status, ResponseStatus::kRejected);
   EXPECT_EQ(service.Stats().coalesced_hits, 0u);
   EXPECT_EQ(OptimizerRuns(service), 3u);  // heavy + primary + bounded dup.
+}
+
+TEST(ServiceTest, DegradedSharedLadderReopensOneJoinerNotAll) {
+  // A shared one-step ladder whose rung fails degrades to the quick-mode
+  // plan, which depends on its opener's weights and carries no guarantee,
+  // so it cannot serve its joiners: exactly ONE joiner's reopen runs a
+  // fresh full DP and the rest coalesce onto it — no thundering herd.
+  if (!rt::kFailpointsEnabled) {
+    GTEST_SKIP() << "built with MOQO_FAILPOINTS=OFF";
+  }
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+  WorkerGate gate(&service, &catalog);
+  const uint64_t runs_before = OptimizerRuns(service);
+  // The gate's rung already passed the site: the next rung is the shared
+  // ladder's, and it is the only one that fails.
+  ASSERT_TRUE(rt::FailpointRegistry::Global().Arm("session.rung",
+                                                  "first_n(1):throw"));
+
+  ServiceRequest dup = StarRequest(&catalog, 2, 3);  // Deadline-free.
+  std::future<ServiceResponse> primary_future = service.Submit(dup);
+  constexpr int kJoiners = 4;
+  std::vector<std::future<ServiceResponse>> futures;
+  std::vector<WeightVector> weights;
+  for (int i = 0; i < kJoiners; ++i) {
+    ServiceRequest request = dup;
+    request.preference.weights[0] = 2.0 + i;
+    weights.push_back(request.preference.weights);
+    futures.push_back(service.Submit(request));
+  }
+  EXPECT_EQ(service.Stats().sessions_coalesced,
+            static_cast<uint64_t>(kJoiners));
+  gate.Release();
+
+  // The failed primary degrades to Section 5.1 quick mode, never null.
+  const ServiceResponse primary = primary_future.get();
+  EXPECT_EQ(primary.status, ResponseStatus::kCompletedQuick);
+  ASSERT_NE(primary.result, nullptr);
+  EXPECT_NE(primary.result->plan, nullptr);
+
+  int reopened_misses = 0, coalesced = 0;
+  for (int i = 0; i < kJoiners; ++i) {
+    const ServiceResponse response = futures[i].get();
+    ASSERT_EQ(response.status, ResponseStatus::kCompleted) << i;
+    ASSERT_NE(response.result, nullptr);
+    ASSERT_NE(response.result->plan, nullptr);
+    EXPECT_DOUBLE_EQ(response.result->weighted_cost,
+                     MinWeightedCost(*response.plan_set(), weights[i]));
+    if (response.cache == CacheOutcome::kMiss) ++reopened_misses;
+    if (response.cache == CacheOutcome::kCoalescedHit) ++coalesced;
+  }
+  rt::FailpointRegistry::Global().DisarmAll();
+  EXPECT_EQ(reopened_misses, 1);
+  EXPECT_EQ(coalesced, kJoiners - 1);
+  // The failed rung records no run: ONE full run serves every joiner.
+  EXPECT_EQ(OptimizerRuns(service), runs_before + 1);
+  EXPECT_EQ(service.Stats().internal_errors, 1u);
+  EXPECT_EQ(service.InFlight(), 0u);
+}
+
+/// A deadline-free IRA request with one loose finite bound.
+ServiceRequest IraRequest(const Catalog* catalog) {
+  ServiceRequest request = StarRequest(catalog, 2, 3);
+  request.spec.algorithm = AlgorithmKind::kIra;
+  request.spec.alpha = 1.5;
+  request.preference.bounds = BoundVector::Unbounded(3);
+  request.preference.bounds[0] = 1e12;
+  return request;
+}
+
+TEST(ServiceTest, IdenticalIraSubmitsCoalesceOntoOneRun) {
+  // The IRA frontier depends on the preference, so its one-step sessions
+  // are keyed on alpha, weights and bounds: identical requests share one
+  // run, and a changed weight runs its own.
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+  WorkerGate gate(&service, &catalog);
+  const uint64_t runs_before = OptimizerRuns(service);
+
+  constexpr int kClients = 6;
+  std::vector<std::future<ServiceResponse>> futures(kClients);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back(
+        [&, t] { futures[t] = service.Submit(IraRequest(&catalog)); });
+  }
+  for (std::thread& client : clients) client.join();
+  ServiceRequest reweighted = IraRequest(&catalog);
+  reweighted.preference.weights[0] = 3.5;
+  std::future<ServiceResponse> reweighted_future =
+      service.Submit(reweighted);
+  gate.Release();
+
+  std::vector<ServiceResponse> responses;
+  int misses = 0, coalesced = 0;
+  for (std::future<ServiceResponse>& future : futures) {
+    responses.push_back(future.get());
+    const ServiceResponse& response = responses.back();
+    ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+    EXPECT_EQ(response.algorithm, AlgorithmKind::kIra);
+    EXPECT_DOUBLE_EQ(response.alpha, 1.5);
+    ASSERT_NE(response.result, nullptr);
+    ASSERT_NE(response.result->plan, nullptr);
+    if (response.cache == CacheOutcome::kMiss) ++misses;
+    if (response.cache == CacheOutcome::kCoalescedHit) ++coalesced;
+    // One run: every response selects the same plan from one frontier.
+    EXPECT_EQ(response.plan_set()->costs(),
+              responses.front().plan_set()->costs());
+    EXPECT_TRUE(PlansEqual(response.result->plan,
+                           responses.front().result->plan));
+  }
+  EXPECT_EQ(misses, 1);
+  EXPECT_EQ(coalesced, kClients - 1);
+
+  const ServiceResponse other = reweighted_future.get();
+  ASSERT_EQ(other.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(other.cache, CacheOutcome::kMiss);
+  EXPECT_EQ(OptimizerRuns(service), runs_before + 2);
+  EXPECT_EQ(service.Stats().coalesced_hits,
+            static_cast<uint64_t>(kClients - 1));
+  EXPECT_EQ(service.InFlight(), 0u);
+}
+
+TEST(ServiceTest, PreferenceDependentResponsesMatchDirectOptimizer) {
+  Catalog catalog = MakeTinyCatalog();
+  for (AlgorithmKind algorithm :
+       {AlgorithmKind::kIra, AlgorithmKind::kWeightedSum}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    OptimizationService service(SmallServiceOptions(2));
+    ServiceRequest request = IraRequest(&catalog);
+    request.spec.algorithm = algorithm;
+    request.preference.weights[1] = 2.5;
+    const ServiceResponse response = service.SubmitAndWait(request);
+    ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+    EXPECT_EQ(response.cache, CacheOutcome::kMiss);
+    ASSERT_NE(response.result, nullptr);
+    ASSERT_NE(response.result->plan, nullptr);
+
+    MOQOProblem problem;
+    problem.query = request.spec.query.get();
+    problem.objectives = request.spec.objectives;
+    problem.weights = request.preference.weights;
+    problem.bounds = request.preference.bounds;
+    const OptimizerResult reference =
+        MakeOptimizer(algorithm, SmallOptions(1.5))->Optimize(problem);
+    ASSERT_NE(reference.plan, nullptr);
+    EXPECT_EQ(reference.frontier(), response.result->frontier());
+    EXPECT_TRUE(PlansEqual(reference.plan, response.result->plan));
+    EXPECT_EQ(reference.cost, response.result->cost);
+    EXPECT_EQ(reference.weighted_cost, response.result->weighted_cost);
+  }
+}
+
+TEST(ServiceTest, FailedIraRungDegradesToQuickModePlan) {
+  if (!rt::kFailpointsEnabled) {
+    GTEST_SKIP() << "built with MOQO_FAILPOINTS=OFF";
+  }
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+  ASSERT_TRUE(rt::FailpointRegistry::Global().Arm("session.rung",
+                                                  "always:throw"));
+  const ServiceResponse response =
+      service.SubmitAndWait(IraRequest(&catalog));
+  rt::FailpointRegistry::Global().DisarmAll();
+  // Section 5.1's "never return null": the quick-mode plan, not a reject.
+  EXPECT_EQ(response.status, ResponseStatus::kCompletedQuick);
+  EXPECT_EQ(response.algorithm, AlgorithmKind::kIra);
+  ASSERT_NE(response.result, nullptr);
+  EXPECT_NE(response.result->plan, nullptr);
+  EXPECT_GE(service.Stats().internal_errors, 1u);
+  EXPECT_EQ(service.InFlight(), 0u);
+}
+
+TEST(ServiceTest, SubmitReportsAchievedAlpha) {
+  // EXA is exact whatever precision was asked for: the response carries
+  // the guarantee the served frontier has, on a fresh run and a cache hit.
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+  ServiceRequest request = StarRequest(&catalog, 2, 3);
+  request.spec.algorithm = AlgorithmKind::kExa;
+  request.spec.alpha = 1.5;
+  const ServiceResponse cold = service.Submit(request).get();
+  ASSERT_EQ(cold.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(cold.cache, CacheOutcome::kMiss);
+  EXPECT_DOUBLE_EQ(cold.alpha, 1.0);
+  const ServiceResponse warm = service.Submit(request).get();
+  EXPECT_EQ(warm.cache, CacheOutcome::kExactHit);
+  EXPECT_DOUBLE_EQ(warm.alpha, 1.0);
+}
+
+TEST(ServiceTest, SubmitFuturesResolveAcrossServiceDestruction) {
+  Catalog catalog = MakeTinyCatalog();
+  std::vector<std::future<ServiceResponse>> futures;
+  {
+    OptimizationService service(SmallServiceOptions(2));
+    for (int i = 0; i < 24; ++i) {
+      // Duplicates (joiners), IRA sessions, and deadline-bounded runs.
+      ServiceRequest request = i % 3 == 0 ? IraRequest(&catalog)
+                                          : StarRequest(&catalog, 1 + i % 3,
+                                                        2 + i % 2);
+      if (i % 4 == 1) request.preference.deadline_ms = 5000;
+      futures.push_back(service.Submit(request));
+    }
+  }  // Destroyed with work queued, running and joined.
+  for (std::future<ServiceResponse>& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const ServiceResponse response = future.get();
+    if (response.status != ResponseStatus::kRejected) {
+      ASSERT_NE(response.result, nullptr);
+      EXPECT_NE(response.result->plan, nullptr);
+    }
+  }
 }
 
 TEST(ServiceTest, ExpiredDeadlineReturnsQuickModePlanNeverNull) {
@@ -860,6 +1141,32 @@ TEST(ServiceTest, SubplanMemoInvalidatedOnCatalogEpochBump) {
   const ServiceStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.memo_invalidations, 1u);
   EXPECT_EQ(stats.memo_hits, 0u);
+}
+
+TEST(ServiceTest, WeightedSumRequestBypassesSubplanMemo) {
+  Catalog catalog = MakeServiceChainCatalog(5);
+  ServiceOptions options = SmallServiceOptions(1);
+  options.subplan_memo.min_tables = 2;
+  options.subplan_memo.admission_epsilon = 0;
+  OptimizationService service(options);
+
+  // Warm the memo with an overlapping frontier-producing request.
+  ASSERT_EQ(service.SubmitAndWait(ChainRequest(&catalog, 0, 3)).status,
+            ResponseStatus::kCompleted);
+  const SubplanMemo::Stats before = service.MemoStats();
+  ASSERT_GT(before.insertions, 0u);
+
+  // The single-plan DP's per-set output depends on the weights: it
+  // neither reads nor publishes shared sub-frontiers.
+  ServiceRequest weighted = ChainRequest(&catalog, 1, 4);
+  weighted.spec.algorithm = AlgorithmKind::kWeightedSum;
+  const ServiceResponse response = service.SubmitAndWait(weighted);
+  ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+  ASSERT_NE(response.result, nullptr);
+  EXPECT_NE(response.result->plan, nullptr);
+  const SubplanMemo::Stats after = service.MemoStats();
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.hits, before.hits);
 }
 
 }  // namespace
