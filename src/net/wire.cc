@@ -3,60 +3,11 @@
 #include "net/wire.h"
 
 #include "core/plan_set.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace net {
 namespace {
-
-// ---- Little-endian primitive writers over std::string. ----
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  PutU8(out, static_cast<uint8_t>(v & 0xff));
-  PutU8(out, static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    PutU8(out, static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    PutU8(out, static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-/// Bit-pattern transport: the receiver reconstructs the exact double,
-/// which is what byte-identity of frontier costs rests on.
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-void PutF64Vector(std::string* out, const std::vector<double>& values) {
-  PutU32(out, static_cast<uint32_t>(values.size()));
-  for (double v : values) PutF64(out, v);
-}
 
 /// Prepends the 8-byte header once the payload is complete.
 std::string Frame(MsgType type, const std::string& payload) {
@@ -69,109 +20,6 @@ std::string Frame(MsgType type, const std::string& payload) {
   frame.append(payload);
   return frame;
 }
-
-// ---- Bounds-checked little-endian reader. All Get* return false on
-// truncation, which the Decode* functions propagate. ----
-
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  bool GetU8(uint8_t* v) {
-    if (pos_ + 1 > size_) return false;
-    *v = data_[pos_++];
-    return true;
-  }
-
-  bool GetU16(uint16_t* v) {
-    uint8_t lo, hi;
-    if (!GetU8(&lo) || !GetU8(&hi)) return false;
-    *v = static_cast<uint16_t>(lo | (hi << 8));
-    return true;
-  }
-
-  bool GetU32(uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-
-  bool GetU64(uint64_t* v) {
-    if (pos_ + 8 > size_) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-
-  bool GetI8(int8_t* v) {
-    uint8_t u;
-    if (!GetU8(&u)) return false;
-    *v = static_cast<int8_t>(u);
-    return true;
-  }
-
-  bool GetI32(int32_t* v) {
-    uint32_t u;
-    if (!GetU32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-
-  bool GetI64(int64_t* v) {
-    uint64_t u;
-    if (!GetU64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-
-  bool GetF64(double* v) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool GetString(std::string* s) {
-    uint32_t len;
-    if (!GetU32(&len) || pos_ + len > size_) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-
-  bool GetBytes(std::vector<uint8_t>* out, uint32_t count) {
-    if (pos_ + count > size_) return false;
-    out->assign(data_ + pos_, data_ + pos_ + count);
-    pos_ += count;
-    return true;
-  }
-
-  bool GetF64Vector(std::vector<double>* out) {
-    uint32_t count;
-    if (!GetU32(&count)) return false;
-    // A count field cannot promise more doubles than bytes remain —
-    // rejecting here keeps a hostile length from reserving gigabytes.
-    if (remaining() / 8 < count) return false;
-    out->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!GetF64(&(*out)[i])) return false;
-    }
-    return true;
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -284,7 +132,7 @@ FrontierUpdateMsg MakeFrontierUpdate(int step, double alpha, bool from_cache,
 
 bool DecodeOpenFrontier(const uint8_t* data, size_t size,
                         OpenFrontierMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint8_t num_objectives = 0;
   if (!r.GetString(&out->query_id) || !r.GetU8(&num_objectives) ||
       !r.GetBytes(&out->objectives, num_objectives) ||
@@ -298,7 +146,7 @@ bool DecodeOpenFrontier(const uint8_t* data, size_t size,
 }
 
 bool DecodeSelect(const uint8_t* data, size_t size, SelectMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   if (!r.GetU64(&out->tag) || !r.GetF64Vector(&out->weights) ||
       !r.GetF64Vector(&out->bounds)) {
     return false;
@@ -308,7 +156,7 @@ bool DecodeSelect(const uint8_t* data, size_t size, SelectMsg* out) {
 
 bool DecodeFrontierUpdate(const uint8_t* data, size_t size,
                           FrontierUpdateMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   uint32_t num_plans = 0;
   uint8_t dims = 0;
   if (!r.GetI32(&out->step) || !r.GetF64(&out->alpha) ||
@@ -328,7 +176,7 @@ bool DecodeFrontierUpdate(const uint8_t* data, size_t size,
 
 bool DecodeSelectResult(const uint8_t* data, size_t size,
                         SelectResultMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   if (!r.GetU64(&out->tag) || !r.GetI32(&out->step) ||
       !r.GetF64(&out->alpha) || !r.GetI32(&out->plan_index) ||
       !r.GetF64(&out->weighted_cost) || !r.GetF64Vector(&out->cost)) {
@@ -338,7 +186,7 @@ bool DecodeSelectResult(const uint8_t* data, size_t size,
 }
 
 bool DecodeDone(const uint8_t* data, size_t size, DoneMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   if (!r.GetU8(&out->target_reached) || !r.GetU8(&out->cancelled) ||
       !r.GetU8(&out->degraded) || !r.GetU8(&out->shed) ||
       !r.GetU8(&out->rejected) || !r.GetI32(&out->steps_published) ||
@@ -349,7 +197,7 @@ bool DecodeDone(const uint8_t* data, size_t size, DoneMsg* out) {
 }
 
 bool DecodeError(const uint8_t* data, size_t size, ErrorMsg* out) {
-  Reader r(data, size);
+  ByteReader r(data, size);
   if (!r.GetU8(&out->code) || !r.GetString(&out->message)) return false;
   return r.exhausted();
 }
@@ -364,27 +212,25 @@ FrameDecoder::Status FrameDecoder::Next(MsgType* type,
                   buffer_.begin() + static_cast<ptrdiff_t>(consumed_));
     consumed_ = 0;
   }
-  const size_t available = buffer_.size() - consumed_;
-  if (available < kHeaderBytes) return Status::kNeedMore;
-  const uint8_t* head = buffer_.data() + consumed_;
-  const uint16_t magic =
-      static_cast<uint16_t>(head[0] | (static_cast<uint16_t>(head[1]) << 8));
-  if (magic != kMagic || head[2] != kProtocolVersion) {
+  ByteReader reader(buffer_.data() + consumed_, buffer_.size() - consumed_);
+  uint16_t magic = 0;
+  uint8_t version = 0, type_byte = 0;
+  uint32_t payload_len = 0;
+  if (!reader.GetU16(&magic) || !reader.GetU8(&version) ||
+      !reader.GetU8(&type_byte) || !reader.GetU32(&payload_len)) {
+    return Status::kNeedMore;
+  }
+  if (magic != kMagic || version != kProtocolVersion) {
     broken_ = Status::kBadHeader;
     return broken_;
-  }
-  uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(head[4 + i]) << (8 * i);
   }
   if (payload_len > max_frame_bytes_) {
     broken_ = Status::kOversized;
     return broken_;
   }
-  if (available < kHeaderBytes + payload_len) return Status::kNeedMore;
-  *type = static_cast<MsgType>(head[3]);
-  payload->assign(head + kHeaderBytes, head + kHeaderBytes + payload_len);
-  consumed_ += kHeaderBytes + payload_len;
+  if (!reader.GetBytes(payload, payload_len)) return Status::kNeedMore;
+  *type = static_cast<MsgType>(type_byte);
+  consumed_ += reader.position();
   return Status::kFrame;
 }
 

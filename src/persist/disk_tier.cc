@@ -10,6 +10,7 @@
 
 #include "persist/format.h"
 #include "rt/failpoint.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace persist {
@@ -113,9 +114,7 @@ bool DiskTier::Put(uint64_t key_hash, std::string_view key,
   PutU32(&record, static_cast<uint32_t>(payload.size()));
   PutU64(&record, key_hash);
   PutU64(&record, DoubleBits(achieved_alpha));
-  uint64_t checksum = Fnv1a(key.data(), key.size());
-  checksum = Fnv1a(payload.data(), payload.size(), checksum);
-  PutU64(&record, checksum);
+  PutU64(&record, Fnv1a(payload, Fnv1a(key, kChecksumSeed)));
   record.append(key);
   record.append(payload);
 
@@ -175,8 +174,10 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
       done += static_cast<size_t>(n);
     }
     bool corrupt = !read_ok;
-    const char* key_ptr = nullptr;
-    const char* payload_ptr = nullptr;
+    const std::string_view stored_key =
+        std::string_view(record).substr(kRecordHeaderBytes, entry.key_len);
+    const std::string_view stored_payload = std::string_view(record).substr(
+        kRecordHeaderBytes + entry.key_len, entry.payload_len);
     if (!corrupt) {
       ByteReader reader(record.data(), record.size());
       uint32_t key_len = 0, payload_len = 0;
@@ -186,10 +187,8 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
       reader.GetU64(&stored_hash);
       reader.GetU64(&alpha_bits);
       reader.GetU64(&stored_checksum);
-      key_ptr = record.data() + kRecordHeaderBytes;
-      payload_ptr = key_ptr + entry.key_len;
-      uint64_t checksum = Fnv1a(key_ptr, entry.key_len);
-      checksum = Fnv1a(payload_ptr, entry.payload_len, checksum);
+      const uint64_t checksum =
+          Fnv1a(stored_payload, Fnv1a(stored_key, kChecksumSeed));
       corrupt = key_len != entry.key_len || payload_len != entry.payload_len ||
                 stored_hash != key_hash || checksum != stored_checksum ||
                 DoubleFromBits(alpha_bits) != entry.alpha;
@@ -204,11 +203,11 @@ bool DiskTier::Take(uint64_t key_hash, std::string_view key, double max_alpha,
     }
     // Full-key comparison: equal hashes with different keys must never
     // alias (the caches' identity contract).
-    if (std::string_view(key_ptr, entry.key_len) != key) {
+    if (stored_key != key) {
       ++it;
       continue;
     }
-    payload_out->assign(payload_ptr, entry.payload_len);
+    payload_out->assign(stored_payload);
     if (alpha_out != nullptr) *alpha_out = entry.alpha;
     shard.live_bytes -= record_bytes;
     shard.index.erase(it);

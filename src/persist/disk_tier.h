@@ -23,7 +23,8 @@
 // (snapshot.h).
 //
 // On-disk record: u32 key_len, u32 payload_len, u64 key_hash,
-// u64 alpha_bits, u64 checksum(FNV over key + payload), key, payload.
+// u64 alpha_bits, u64 checksum (FNV-1a over key + payload, seeded with
+// kChecksumSeed), key, payload.
 
 #ifndef MOQO_PERSIST_DISK_TIER_H_
 #define MOQO_PERSIST_DISK_TIER_H_

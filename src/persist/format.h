@@ -1,28 +1,25 @@
 // Copyright (c) 2026 moqo authors. MIT license.
 //
-// On-disk format primitives shared by the snapshot file (snapshot.h), the
+// On-disk format constants shared by the snapshot file (snapshot.h), the
 // RAM→disk cache tier (disk_tier.h), and the PlanSet codec
 // (plan_set_codec.h).
 //
-// Encoding contract — identical to the wire protocol (net/wire.h): every
-// integer is little-endian fixed-width, every double is its IEEE-754 bit
-// pattern moved through uint64_t with memcpy. No varints, no alignment
-// padding beyond what the record layouts spell out, no host-endianness
-// leaks. A snapshot written on one machine reads back bit-identically on
-// any other little-endian-serialized reader, and round-trips are bit-exact
-// by construction (the acceptance criterion for cached frontiers, whose
-// identity contract is "equal keys imply byte-identical frontiers").
+// Encoding contract: the one byte codec, util/byte_codec.h — the same
+// primitives the wire protocol uses. Every integer is little-endian
+// fixed-width and every double is its IEEE-754 bit pattern, so a snapshot
+// written on one machine reads back bit-identically on any other, and
+// round-trips are bit-exact by construction (the acceptance criterion for
+// cached frontiers, whose identity contract is "equal keys imply
+// byte-identical frontiers").
 //
-// Integrity: FNV-1a 64-bit over the exact encoded bytes. Not
-// cryptographic — it detects torn writes, truncation, and bit rot, which
-// is all a local cache file needs.
+// Integrity: FNV-1a 64-bit over the exact encoded bytes, seeded with
+// kChecksumSeed. Not cryptographic — it detects torn writes, truncation,
+// and bit rot, which is all a local cache file needs.
 
 #ifndef MOQO_PERSIST_FORMAT_H_
 #define MOQO_PERSIST_FORMAT_H_
 
 #include <cstdint>
-#include <cstring>
-#include <string>
 
 namespace moqo {
 namespace persist {
@@ -43,123 +40,11 @@ enum class RecordKind : uint32_t {
   kMemoEntry = 2,       ///< Payload: PlanSet block only.
 };
 
-// ---- Checksums. ----
-
-inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
-inline constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-/// FNV-1a over `len` bytes, chainable through `seed` so a checksum can
-/// cover discontiguous pieces (record header, then key, then payload).
-inline uint64_t Fnv1a(const void* data, size_t len,
-                      uint64_t seed = kFnvOffsetBasis) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = seed;
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-// ---- Little-endian append helpers. ----
-
-inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-inline void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-/// IEEE-754 bit pattern; NaNs and signed zeros survive unchanged.
-inline void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-inline uint64_t DoubleBits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-inline double DoubleFromBits(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-// ---- Bounds-checked little-endian reader. ----
-
-/// Cursor over an encoded byte range (an mmap'ed file region or an
-/// in-memory string). Every Get* fails (returns false, cursor unchanged)
-/// instead of reading past the end, so a truncated file can never fault —
-/// torn tails surface as a clean decode failure.
-class ByteReader {
- public:
-  ByteReader(const void* data, size_t size)
-      : data_(static_cast<const unsigned char*>(data)), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  size_t position() const { return pos_; }
-  const unsigned char* cursor() const { return data_ + pos_; }
-
-  bool Skip(size_t n) {
-    if (remaining() < n) return false;
-    pos_ += n;
-    return true;
-  }
-
-  bool GetU32(uint32_t* out) {
-    if (remaining() < 4) return false;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return true;
-  }
-
-  bool GetU64(uint64_t* out) {
-    if (remaining() < 8) return false;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return true;
-  }
-
-  bool GetI32(int32_t* out) {
-    uint32_t v;
-    if (!GetU32(&v)) return false;
-    *out = static_cast<int32_t>(v);
-    return true;
-  }
-
-  bool GetDouble(double* out) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    *out = DoubleFromBits(bits);
-    return true;
-  }
-
- private:
-  const unsigned char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+/// Seed of every snapshot and segment checksum (Fnv1a in
+/// util/byte_codec.h). It is the FNV-1a offset basis with its last digit
+/// missing; the checksums of format v1 files are seeded with it, so it is
+/// part of the format and must not be "fixed" without a version bump.
+inline constexpr uint64_t kChecksumSeed = 1469598103934665603ull;
 
 }  // namespace persist
 }  // namespace moqo

@@ -4,8 +4,8 @@
 
 #include "core/optimizer.h"
 #include "cost/objective.h"
-#include "persist/format.h"
 #include "persist/plan_set_codec.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace persist {
@@ -17,10 +17,10 @@ bool EncodeFrontierPayload(const CachedFrontier& entry, std::string* out) {
   PutU32(out, static_cast<uint32_t>(entry.weights.size()));
   PutU32(out, static_cast<uint32_t>(entry.bounds.size()));
   for (int i = 0; i < entry.weights.size(); ++i) {
-    PutDouble(out, entry.weights[i]);
+    PutF64(out, entry.weights[i]);
   }
   for (int i = 0; i < entry.bounds.size(); ++i) {
-    PutDouble(out, entry.bounds[i]);
+    PutF64(out, entry.bounds[i]);
   }
   PlanSetCodec::Append(*entry.result->plan_set, out);
   return true;
@@ -40,13 +40,13 @@ std::shared_ptr<const CachedFrontier> DecodeFrontierPayload(
   WeightVector weights(static_cast<int>(weights_size));
   for (uint32_t i = 0; i < weights_size; ++i) {
     double v;
-    if (!reader.GetDouble(&v)) return nullptr;
+    if (!reader.GetF64(&v)) return nullptr;
     weights[static_cast<int>(i)] = v;
   }
   BoundVector bounds(static_cast<int>(bounds_size));
   for (uint32_t i = 0; i < bounds_size; ++i) {
     double v;
-    if (!reader.GetDouble(&v)) return nullptr;
+    if (!reader.GetF64(&v)) return nullptr;
     bounds[static_cast<int>(i)] = v;
   }
   std::shared_ptr<const PlanSet> plan_set = PlanSetCodec::Decode(

@@ -9,6 +9,7 @@
 #include "cost/objective.h"
 #include "persist/format.h"
 #include "plan/plan_node.h"
+#include "util/byte_codec.h"
 #include "util/table_set.h"
 
 namespace moqo {
@@ -49,7 +50,7 @@ void PlanSetCodec::Append(const PlanSet& set, std::string* out) {
   for (int i = 0; i < set.size(); ++i) {
     const CostVector& cost = set.cost(i);
     assert(cost.size() == static_cast<int>(dims));
-    for (uint32_t d = 0; d < dims; ++d) PutDouble(out, cost[d]);
+    for (uint32_t d = 0; d < dims; ++d) PutF64(out, cost[d]);
   }
   for (int i = 0; i < set.size(); ++i) {
     PutU32(out, index.at(set.plan(i)));
@@ -60,10 +61,10 @@ void PlanSetCodec::Append(const PlanSet& set, std::string* out) {
     PutU32(out, node->left == nullptr ? kNoChild : index.at(node->left));
     PutU32(out, node->right == nullptr ? kNoChild : index.at(node->right));
     PutU64(out, node->tables.mask());
-    PutDouble(out, node->cardinality);
-    PutDouble(out, node->row_width);
+    PutF64(out, node->cardinality);
+    PutF64(out, node->row_width);
     assert(node->cost.size() == static_cast<int>(dims));
-    for (uint32_t d = 0; d < dims; ++d) PutDouble(out, node->cost[d]);
+    for (uint32_t d = 0; d < dims; ++d) PutF64(out, node->cost[d]);
   }
 }
 
@@ -99,7 +100,7 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
     CostVector cost(static_cast<int>(dims));
     for (uint32_t d = 0; d < dims; ++d) {
       double v;
-      if (!reader.GetDouble(&v)) return nullptr;
+      if (!reader.GetF64(&v)) return nullptr;
       cost[static_cast<int>(d)] = v;
     }
     result->costs_.push_back(cost);
@@ -119,8 +120,8 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
     double cardinality, row_width;
     if (!reader.GetI32(&op_config) || !reader.GetI32(&table) ||
         !reader.GetU32(&left) || !reader.GetU32(&right) ||
-        !reader.GetU64(&tables_mask) || !reader.GetDouble(&cardinality) ||
-        !reader.GetDouble(&row_width)) {
+        !reader.GetU64(&tables_mask) || !reader.GetF64(&cardinality) ||
+        !reader.GetF64(&row_width)) {
       return nullptr;
     }
     if ((left != kNoChild && left >= i) || (right != kNoChild && right >= i)) {
@@ -128,10 +129,28 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
     }
     // Scans have no children, joins have both — anything else is corrupt.
     if ((left == kNoChild) != (right == kNoChild)) return nullptr;
+    // PlanNode's invariants, which plan consumers index by without
+    // checking: a scan covers exactly its own table, a join the disjoint
+    // union of its children's tables.
+    const TableSet tables(tables_mask);
+    if (op_config < 0) return nullptr;
+    if (left == kNoChild) {
+      if (table < 0 || table >= TableSet::kMaxTables ||
+          tables != TableSet::Singleton(table)) {
+        return nullptr;
+      }
+    } else {
+      const TableSet left_tables = nodes[left]->tables;
+      const TableSet right_tables = nodes[right]->tables;
+      if (table != -1 || left_tables.Intersects(right_tables) ||
+          left_tables.Union(right_tables) != tables) {
+        return nullptr;
+      }
+    }
     CostVector cost(static_cast<int>(dims));
     for (uint32_t d = 0; d < dims; ++d) {
       double v;
-      if (!reader.GetDouble(&v)) return nullptr;
+      if (!reader.GetF64(&v)) return nullptr;
       cost[static_cast<int>(d)] = v;
     }
     PlanNode* node = result->arena_.New<PlanNode>();
@@ -139,7 +158,7 @@ std::shared_ptr<const PlanSet> PlanSetCodec::Decode(const void* data,
     node->table = table;
     node->left = left == kNoChild ? nullptr : nodes[left];
     node->right = right == kNoChild ? nullptr : nodes[right];
-    node->tables = TableSet(tables_mask);
+    node->tables = tables;
     node->cost = cost;
     node->cardinality = cardinality;
     node->row_width = row_width;

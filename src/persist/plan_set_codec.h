@@ -14,7 +14,7 @@
 // node).
 //
 // Block layout (all little-endian, doubles as IEEE-754 bit patterns —
-// see format.h):
+// see util/byte_codec.h):
 //
 //   u32 num_plans        frontier size
 //   u32 num_nodes        distinct DAG nodes
@@ -57,8 +57,8 @@ class PlanSetCodec {
   /// returns the materialized set and writes the block's byte length to
   /// `consumed` (trailing bytes are the caller's — payloads may carry a
   /// preference block first). Malformed input (truncation, out-of-range
-  /// indices, impossible sizes) returns nullptr; never throws, never reads
-  /// out of bounds.
+  /// indices, impossible sizes, nodes that break PlanNode's invariants)
+  /// returns nullptr; never throws, never reads out of bounds.
   static std::shared_ptr<const PlanSet> Decode(const void* data, size_t size,
                                                size_t* consumed);
 };

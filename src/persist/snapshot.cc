@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "rt/failpoint.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace persist {
@@ -27,7 +28,7 @@ void AppendFileHeader(std::string* out, uint64_t catalog_epoch,
   PutU64(out, catalog_epoch);
   PutU64(out, cost_model_version);
   PutU64(out, 0);  // reserved
-  PutU64(out, Fnv1a(out->data(), out->size()));
+  PutU64(out, Fnv1a(*out, kChecksumSeed));
 }
 
 }  // namespace
@@ -43,9 +44,9 @@ void SnapshotWriter::AddRecord(RecordKind kind, std::string_view key,
   PutU64(&header, DoubleBits(achieved_alpha));
   PutU32(&header, static_cast<uint32_t>(payload.size()));
   PutU32(&header, 0);  // reserved
-  uint64_t checksum = Fnv1a(header.data(), header.size());
-  checksum = Fnv1a(key.data(), key.size(), checksum);
-  checksum = Fnv1a(payload.data(), payload.size(), checksum);
+  uint64_t checksum = Fnv1a(header, kChecksumSeed);
+  checksum = Fnv1a(key, checksum);
+  checksum = Fnv1a(payload, checksum);
   body_ += header;
   PutU64(&body_, checksum);
   body_.append(key);
@@ -133,7 +134,8 @@ SnapshotReadResult ReadSnapshot(
   ::close(fd);
 
   do {
-    ByteReader reader(data, size);
+    const std::string_view file(static_cast<const char*>(data), size);
+    ByteReader reader(file.data(), file.size());
     SnapshotHeader header;
     uint64_t reserved = 0, stored_checksum = 0;
     reader.GetU64(&header.magic);
@@ -145,7 +147,8 @@ SnapshotReadResult ReadSnapshot(
     reader.GetU64(&stored_checksum);
     (void)reserved;
     if (header.magic != kSnapshotMagic ||
-        Fnv1a(data, kFileHeaderBytes - 8) != stored_checksum) {
+        Fnv1a(file.substr(0, kFileHeaderBytes - 8), kChecksumSeed) !=
+            stored_checksum) {
       break;
     }
     result.loaded = true;
@@ -161,7 +164,7 @@ SnapshotReadResult ReadSnapshot(
         result.truncated += header.record_count - i;
         break;
       }
-      const unsigned char* record_start = reader.cursor();
+      const char* record_start = reader.cursor();
       uint32_t kind_raw = 0, key_len = 0, payload_len = 0, rec_reserved = 0;
       uint64_t key_hash = 0, alpha_bits = 0, record_checksum = 0;
       reader.GetU32(&kind_raw);
@@ -176,15 +179,14 @@ SnapshotReadResult ReadSnapshot(
         result.truncated += header.record_count - i;
         break;
       }
-      // lint:allow raw-encode — decode-side view of checksummed bytes.
-      const char* key_ptr = reinterpret_cast<const char*>(reader.cursor());
+      const std::string_view key(reader.cursor(), key_len);
       reader.Skip(key_len);
-      // lint:allow raw-encode — decode-side view of checksummed bytes.
-      const char* payload_ptr = reinterpret_cast<const char*>(reader.cursor());
+      const std::string_view payload(reader.cursor(), payload_len);
       reader.Skip(payload_len);
-      uint64_t checksum = Fnv1a(record_start, kRecordHeaderBytes);
-      checksum = Fnv1a(key_ptr, key_len, checksum);
-      checksum = Fnv1a(payload_ptr, payload_len, checksum);
+      uint64_t checksum = Fnv1a(
+          std::string_view(record_start, kRecordHeaderBytes), kChecksumSeed);
+      checksum = Fnv1a(key, checksum);
+      checksum = Fnv1a(payload, checksum);
       if (checksum != record_checksum) {
         // The lengths that position the next record came from this corrupt
         // header; trusting them would misparse the whole tail. Drop it.
@@ -196,8 +198,8 @@ SnapshotReadResult ReadSnapshot(
       view.kind = static_cast<RecordKind>(kind_raw);
       view.key_hash = key_hash;
       view.achieved_alpha = DoubleFromBits(alpha_bits);
-      view.key = std::string_view(key_ptr, key_len);
-      view.payload = std::string_view(payload_ptr, payload_len);
+      view.key = key;
+      view.payload = payload;
       record_cb(view);
       result.records_ok += 1;
     }

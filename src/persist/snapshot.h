@@ -3,7 +3,8 @@
 // Snapshot file: the cross-restart persistence format for the service's
 // warm state (PlanCache + SubplanMemo entries).
 //
-// File layout (all little-endian; format.h has the primitives):
+// File layout (util/byte_codec.h encoding: little-endian integers, f64
+// bit patterns; every checksum is FNV-1a seeded with kChecksumSeed):
 //
 //   file header, 48 bytes:
 //     u64 magic                "MOQOSNP1"

@@ -3,36 +3,16 @@
 #include "query/canonical.h"
 
 #include <algorithm>
-#include <cstring>
 #include <tuple>
 #include <vector>
+
+#include "util/byte_codec.h"
 
 namespace moqo {
 
 void AppendCanonicalString(std::string* out, const std::string& s) {
-  AppendCanonicalU64(out, s.size());
+  PutU64(out, s.size());
   out->append(s);
-}
-
-void AppendCanonicalU64(std::string* out, uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out->append(bytes, sizeof(bytes));
-}
-
-void AppendCanonicalDouble(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendCanonicalU64(out, bits);
-}
-
-uint64_t Fnv1aHash(std::string_view data, uint64_t state) {
-  for (unsigned char c : data) {
-    state ^= c;
-    state *= 1099511628211ull;
-  }
-  return state;
 }
 
 /// Catalog identity by content: the same table id over a differently
@@ -50,24 +30,23 @@ std::string EncodeCanonicalTable(const Table& table) {
   std::string encoding;
   encoding.reserve(bytes);
   AppendCanonicalString(&encoding, table.name());
-  AppendCanonicalDouble(&encoding, table.row_count());
-  AppendCanonicalDouble(&encoding, table.row_width_bytes());
-  AppendCanonicalU64(&encoding, table.columns().size());
+  PutF64(&encoding, table.row_count());
+  PutF64(&encoding, table.row_width_bytes());
+  PutU64(&encoding, table.columns().size());
   for (const ColumnStats& column : table.columns()) {
     AppendCanonicalString(&encoding, column.name);
-    AppendCanonicalDouble(&encoding, column.ndv);
-    AppendCanonicalDouble(&encoding, column.min_value);
-    AppendCanonicalDouble(&encoding, column.max_value);
-    AppendCanonicalDouble(&encoding, column.null_fraction);
-    AppendCanonicalDouble(&encoding, column.avg_width_bytes);
-    AppendCanonicalU64(&encoding, table.HasIndexOn(column.name) ? 1 : 0);
+    PutF64(&encoding, column.ndv);
+    PutF64(&encoding, column.min_value);
+    PutF64(&encoding, column.max_value);
+    PutF64(&encoding, column.null_fraction);
+    PutF64(&encoding, column.avg_width_bytes);
+    PutU64(&encoding, table.HasIndexOn(column.name) ? 1 : 0);
     const Histogram& histogram = column.histogram;
-    AppendCanonicalDouble(&encoding, histogram.lo());
-    AppendCanonicalDouble(&encoding, histogram.hi());
-    AppendCanonicalU64(&encoding,
-                       static_cast<uint64_t>(histogram.num_buckets()));
+    PutF64(&encoding, histogram.lo());
+    PutF64(&encoding, histogram.hi());
+    PutU64(&encoding, static_cast<uint64_t>(histogram.num_buckets()));
     for (int b = 0; b < histogram.num_buckets(); ++b) {
-      AppendCanonicalDouble(&encoding, histogram.bucket_count(b));
+      PutF64(&encoding, histogram.bucket_count(b));
     }
   }
   return encoding;
@@ -78,9 +57,9 @@ void AppendCanonicalTable(std::string* out, const Table& table) {
 }
 
 void AppendCanonicalQuery(std::string* out, const Query& query) {
-  AppendCanonicalU64(out, static_cast<uint64_t>(query.num_tables()));
+  PutU64(out, static_cast<uint64_t>(query.num_tables()));
   for (int i = 0; i < query.num_tables(); ++i) {
-    AppendCanonicalU64(out, static_cast<uint64_t>(query.table_id(i)));
+    PutU64(out, static_cast<uint64_t>(query.table_id(i)));
     AppendCanonicalTable(out, query.table(i));
   }
 
@@ -105,11 +84,11 @@ void AppendCanonicalQuery(std::string* out, const Query& query) {
                      std::tie(y.first.first, *y.first.second, y.second.first,
                               *y.second.second);
             });
-  AppendCanonicalU64(out, edges.size());
+  PutU64(out, edges.size());
   for (const auto& [a, b] : edges) {
-    AppendCanonicalU64(out, static_cast<uint64_t>(a.first));
+    PutU64(out, static_cast<uint64_t>(a.first));
     AppendCanonicalString(out, *a.second);
-    AppendCanonicalU64(out, static_cast<uint64_t>(b.first));
+    PutU64(out, static_cast<uint64_t>(b.first));
     AppendCanonicalString(out, *b.second);
   }
 
@@ -125,13 +104,13 @@ void AppendCanonicalQuery(std::string* out, const Query& query) {
                                                       y->op, y->value,
                                                       y->value_hi);
             });
-  AppendCanonicalU64(out, filters.size());
+  PutU64(out, filters.size());
   for (const FilterPredicate* filter : filters) {
-    AppendCanonicalU64(out, static_cast<uint64_t>(filter->table));
+    PutU64(out, static_cast<uint64_t>(filter->table));
     AppendCanonicalString(out, filter->column);
-    AppendCanonicalU64(out, static_cast<uint64_t>(filter->op));
-    AppendCanonicalDouble(out, filter->value);
-    AppendCanonicalDouble(out, filter->value_hi);
+    PutU64(out, static_cast<uint64_t>(filter->op));
+    PutF64(out, filter->value);
+    PutF64(out, filter->value_hi);
   }
 }
 

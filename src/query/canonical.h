@@ -7,36 +7,22 @@
 // the query's display name — produce byte-identical encodings. The service
 // layer keys its plan cache on this encoding (plus problem parameters), so
 // structurally identical requests share cached Pareto sets.
+//
+// Scalars are encoded through util/byte_codec.h: every integer as a
+// little-endian u64 (PutU64), every double as its bit pattern (PutF64);
+// keys hash with its Fnv1a.
 
 #ifndef MOQO_QUERY_CANONICAL_H_
 #define MOQO_QUERY_CANONICAL_H_
 
-#include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "query/query.h"
 
 namespace moqo {
 
-/// Appends a length-prefixed string to a canonical encoding.
+/// Appends a u64-length-prefixed string to a canonical encoding.
 void AppendCanonicalString(std::string* out, const std::string& s);
-
-/// Appends a 64-bit value little-endian.
-void AppendCanonicalU64(std::string* out, uint64_t v);
-
-/// Appends a double bit-exactly (its IEEE-754 representation).
-void AppendCanonicalDouble(std::string* out, double v);
-
-/// The FNV-1a 64-bit offset basis: the hash state of the empty string.
-inline constexpr uint64_t kFnv1aOffsetBasis = 14695981039346656037ull;
-
-/// FNV-1a over a canonical encoding; the hash every canonical cache key
-/// (service/signature, memo/subplan_key) derives its routing value from.
-/// FNV-1a is a streaming hash: the hash of a prefix is the state after
-/// it, so passing that hash as `state` continues over appended bytes, and
-/// Fnv1aHash(b, Fnv1aHash(a)) == Fnv1aHash(a + b).
-uint64_t Fnv1aHash(std::string_view data, uint64_t state = kFnv1aOffsetBasis);
 
 /// The canonical *content* encoding of one table: everything the cost
 /// model reads (name, cardinality, widths, per-column statistics and

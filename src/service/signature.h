@@ -73,8 +73,8 @@ ProblemSignature ComputeSignature(const Query& query,
 /// in-flight runs at different precisions must not coalesce, and two
 /// sessions refining to different targets must not share a ladder. The
 /// hash continues FNV-1a from `base.hash` over the appended bytes alone,
-/// which gives exactly Fnv1aHash of the extended key as long as
-/// `base.hash` is Fnv1aHash(base.key), as it is for every signature
+/// which gives exactly Fnv1a of the extended key as long as
+/// `base.hash` is Fnv1a(base.key), as it is for every signature
 /// ComputeSignature and ExtendSignature return.
 ProblemSignature ExtendSignature(const ProblemSignature& base,
                                  std::span<const double> values);

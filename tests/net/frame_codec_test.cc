@@ -9,7 +9,9 @@
 
 #include "net/wire.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "net/push_queue.h"
+#include "testing/test_helpers.h"
 
 namespace moqo {
 namespace net {
@@ -153,6 +156,67 @@ TEST(NetFrameTest, SelectResultDoneAndErrorRoundTrip) {
   // The two bodyless client frames.
   EXPECT_TRUE(DecodeOneFrame(EncodeCancel(), MsgType::kCancel).empty());
   EXPECT_TRUE(DecodeOneFrame(EncodeClose(), MsgType::kClose).empty());
+}
+
+// Golden frames: every message type's exact bytes, pinned. A client
+// built against an older release decodes these bytes, so an encoder
+// refactor must reproduce them byte for byte.
+TEST(NetFrameTest, GoldenFramesForEveryMessageType) {
+  // A NaN with a payload: the bit pattern, not just NaN-ness, must travel.
+  const double kNaN = std::bit_cast<double>(uint64_t{0x7ff8000000c0ffeeull});
+  OpenFrontierMsg open;
+  open.query_id = "tpch_q5";
+  open.objectives = {0, 2, 5};
+  open.algorithm = -1;
+  open.alpha = 1.25;
+  open.parallelism = -4;
+  open.alpha_start = 8.0;
+  open.alpha_target = 1.0 / 3.0;
+  open.max_steps = 6;
+  open.step_deadline_ms = -1500;
+  open.quick_first = 0;
+  testing::ExpectGoldenBytes(EncodeOpenFrontier(open), 65,
+                             16322584412578915971ull);
+
+  SelectMsg select;
+  select.tag = 0xdeadbeefcafe1234ull;
+  select.weights = {0.5, -0.0, 5e-324};
+  select.bounds = {kInf, 42.5};
+  testing::ExpectGoldenBytes(EncodeSelect(select), 64, 16615103455124907230ull);
+
+  testing::ExpectGoldenBytes(EncodeCancel(), 8, 51388228314038622ull);
+  testing::ExpectGoldenBytes(EncodeClose(), 8, 51388228608538543ull);
+
+  FrontierUpdateMsg update;
+  update.step = 3;
+  update.alpha = kInf;
+  update.from_cache = 1;
+  update.step_ms = 0.125;
+  update.dims = 2;
+  update.costs = {1.0 / 3.0, kNaN, -0.0, 1e300, 2.0 / 7.0, 5e-324};
+  testing::ExpectGoldenBytes(EncodeFrontierUpdate(update), 82,
+                             15390057904219197872ull);
+
+  SelectResultMsg result;
+  result.tag = 7;
+  result.step = -2;
+  result.alpha = 1.5;
+  result.plan_index = 4;
+  result.weighted_cost = 99.75;
+  result.cost = {1.5, -kInf};
+  testing::ExpectGoldenBytes(EncodeSelectResult(result), 60,
+                             11089992795055789625ull);
+
+  DoneMsg done;
+  done.target_reached = 1;
+  done.degraded = 1;
+  done.rejected = 1;
+  done.steps_published = 5;
+  done.best_alpha = 1.0625;
+  testing::ExpectGoldenBytes(EncodeDone(done), 25, 4622221420208596188ull);
+
+  testing::ExpectGoldenBytes(EncodeError(ErrorCode::kTimeout, "no q17"), 19,
+                             5557598749022447745ull);
 }
 
 TEST(NetFrameTest, DecoderReassemblesByteByByteFeed) {

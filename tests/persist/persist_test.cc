@@ -31,11 +31,11 @@
 #include "service/optimization_service.h"
 #include "testing/test_helpers.h"
 #include "util/arena.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace {
 
-using persist::DoubleBits;
 using persist::PlanSetCodec;
 using persist::ReadSnapshot;
 using persist::RecordKind;
@@ -188,6 +188,132 @@ TEST(PersistTest, PlanSetCodecRejectsCorruptStructure) {
             nullptr);
 }
 
+// ---- Decoder invariants: a block whose nodes break PlanNode's rules must
+// decode to nullptr, not to plans that index out of range downstream. ----
+
+/// MakeDagFrontier's encoded block (2 plans, 2 dims). Its node table
+/// starts with the scans of tables 0 and 1 (children come first), then
+/// the two joins over them.
+std::string DagBlock() {
+  Arena arena;
+  std::string block;
+  PlanSetCodec::Append(*MakeDagFrontier(&arena), &block);
+  return block;
+}
+
+/// Byte offsets of the node-record fields the invariants cover.
+enum class NodeField : size_t { kOpConfig = 0, kTable = 4, kTablesMask = 16 };
+
+/// `block` with one field of node `node` overwritten.
+std::string PatchNode(std::string block, uint32_t node, NodeField field,
+                      int64_t value) {
+  constexpr size_t kNodesStart = 16 + 2 * 2 * 8 + 2 * 4;
+  constexpr size_t kNodeBytes = 40 + 2 * 8;
+  std::string bytes;
+  if (field == NodeField::kTablesMask) {
+    PutU64(&bytes, static_cast<uint64_t>(value));
+  } else {
+    PutI32(&bytes, static_cast<int32_t>(value));
+  }
+  block.replace(kNodesStart + node * kNodeBytes + static_cast<size_t>(field),
+                bytes.size(), bytes);
+  return block;
+}
+
+bool Decodes(const std::string& block) {
+  return PlanSetCodec::Decode(block.data(), block.size(), nullptr) != nullptr;
+}
+
+TEST(PersistTest, PlanSetCodecRejectsNegativeOpConfig) {
+  EXPECT_TRUE(Decodes(PatchNode(DagBlock(), 0, NodeField::kOpConfig, 0)));
+  EXPECT_FALSE(Decodes(PatchNode(DagBlock(), 0, NodeField::kOpConfig, -7)));
+  EXPECT_FALSE(Decodes(PatchNode(DagBlock(), 2, NodeField::kOpConfig, -1)));
+}
+
+TEST(PersistTest, PlanSetCodecRejectsScanTableOutOfRange) {
+  for (int64_t table : {-1, 64, 1000}) {
+    EXPECT_FALSE(Decodes(PatchNode(DagBlock(), 0, NodeField::kTable, table)))
+        << "table " << table;
+  }
+}
+
+TEST(PersistTest, PlanSetCodecRejectsScanTablesOtherThanItsTable) {
+  EXPECT_FALSE(Decodes(PatchNode(DagBlock(), 0, NodeField::kTablesMask, 0)));
+  EXPECT_FALSE(
+      Decodes(PatchNode(DagBlock(), 0, NodeField::kTablesMask, 0b10)));
+  EXPECT_FALSE(
+      Decodes(PatchNode(DagBlock(), 1, NodeField::kTablesMask, 0b11)));
+}
+
+TEST(PersistTest, PlanSetCodecRejectsJoinWithATable) {
+  EXPECT_FALSE(Decodes(PatchNode(DagBlock(), 2, NodeField::kTable, 0)));
+  EXPECT_FALSE(Decodes(PatchNode(DagBlock(), 3, NodeField::kTable, 1)));
+}
+
+TEST(PersistTest, PlanSetCodecRejectsOverlappingJoinChildren) {
+  // Turn the second scan into a well-formed scan of table 0: each scan is
+  // valid on its own, the joins over both are not.
+  const std::string block = PatchNode(
+      PatchNode(DagBlock(), 1, NodeField::kTable, 0), 1,
+      NodeField::kTablesMask, 0b1);
+  EXPECT_FALSE(Decodes(block));
+}
+
+TEST(PersistTest, PlanSetCodecRejectsJoinTablesOtherThanChildUnion) {
+  EXPECT_FALSE(
+      Decodes(PatchNode(DagBlock(), 2, NodeField::kTablesMask, 0b111)));
+  EXPECT_FALSE(Decodes(PatchNode(DagBlock(), 3, NodeField::kTablesMask, 0b1)));
+}
+
+// Golden persisted bytes. Snapshot and segment files outlive the process
+// that wrote them, so format v1's exact bytes are pinned: the PlanSet
+// block, the frontier payload around it, and a whole snapshot file.
+std::string GoldenFrontierPayload(const std::shared_ptr<const PlanSet>& set) {
+  CachedFrontier entry;
+  auto result = std::make_shared<OptimizerResult>();
+  result->plan_set = set;
+  entry.result = result;
+  entry.weights = WeightVector(2);
+  entry.weights[0] = 0.25;
+  entry.weights[1] = -0.0;
+  entry.bounds = BoundVector(2);
+  entry.bounds[0] = 1.0 / 3.0;
+  std::string payload;
+  EXPECT_TRUE(persist::EncodeFrontierPayload(entry, &payload));
+  return payload;
+}
+
+TEST(PersistTest, GoldenPlanSetBlockAndFrontierPayload) {
+  Arena arena;
+  std::shared_ptr<const PlanSet> set = MakeDagFrontier(&arena);
+  std::string block;
+  PlanSetCodec::Append(*set, &block);
+  testing::ExpectGoldenBytes(block, 280, 14191373661539044183ull);
+  testing::ExpectGoldenBytes(GoldenFrontierPayload(set), 320,
+                             9151267179037622907ull);
+}
+
+TEST(PersistTest, GoldenSnapshotFile) {
+  Arena arena;
+  std::shared_ptr<const PlanSet> set = MakeDagFrontier(&arena);
+  std::string memo_payload;
+  PlanSetCodec::Append(*set, &memo_payload);
+  SnapshotWriter writer(/*catalog_epoch=*/7, /*cost_model_version=*/3);
+  writer.AddRecord(RecordKind::kPlanCacheEntry, "plan-key", 0x1234abcdull,
+                   1.5, GoldenFrontierPayload(set));
+  writer.AddRecord(RecordKind::kMemoEntry, "memo-key", 0xfeedull, 1.0,
+                   memo_payload);
+  const std::string path = FreshDir("golden") + "/snap";
+  ASSERT_TRUE(writer.WriteFile(path));
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(file, nullptr);
+  std::string bytes(writer.encoded_bytes(), '\0');
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
+  EXPECT_EQ(std::fgetc(file), EOF);
+  std::fclose(file);
+  testing::ExpectGoldenBytes(bytes, 744, 4586200834736593087ull);
+}
+
 TEST(PersistTest, FrontierPayloadRoundTripRebuildsSelection) {
   Arena arena;
   std::shared_ptr<const PlanSet> plan_set = MakeDagFrontier(&arena);
@@ -319,7 +445,8 @@ TEST(PersistTest, SnapshotValidationMatrix) {
   std::string bad_version = raw;
   bad_version[8] ^= 0x40;  // format_version.
   {
-    const uint64_t checksum = persist::Fnv1a(bad_version.data(), 40);
+    const uint64_t checksum =
+        Fnv1a(bad_version.substr(0, 40), persist::kChecksumSeed);
     std::memcpy(bad_version.data() + 40, &checksum, 8);
   }
   SnapshotReadResult version = read_count(write_variant("bad_version",

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -23,13 +24,14 @@
 #include "memo/subplan_memo.h"
 #include "persist/format.h"
 #include "service/plan_cache.h"
+#include "testing/test_helpers.h"
 #include "util/arena.h"
+#include "util/byte_codec.h"
 
 namespace moqo {
 namespace {
 
 using persist::DiskTier;
-using persist::DoubleBits;
 
 /// Fresh per-test scratch directory for segment files.
 std::string FreshDir(const std::string& tag) {
@@ -78,6 +80,22 @@ TEST(TieredLruTest, DiskTierRoundTripIsReadOnce) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
+}
+
+// Golden segment record: the exact bytes one Put appends to its shard
+// file (header, checksum, key, payload), read back from disk.
+TEST(TieredLruTest, GoldenSegmentRecord) {
+  const std::string dir = FreshDir("golden");
+  DiskTier tier(TierOptions(dir));
+  ASSERT_TRUE(tier.Put(0x0123456789abcdefull, "segment-key", 1.0 / 3.0,
+                       "segment-payload"));
+  std::FILE* file = std::fopen((dir + "/test_tier.shard0.seg").c_str(), "rb");
+  ASSERT_NE(file, nullptr);
+  std::string bytes(RecordBytes("segment-key", "segment-payload"), '\0');
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
+  EXPECT_EQ(std::fgetc(file), EOF);
+  std::fclose(file);
+  testing::ExpectGoldenBytes(bytes, 58, 2292948064008923464ull);
 }
 
 TEST(TieredLruTest, DiskTierAlphaGateSkipsWithoutErasing) {
@@ -158,12 +176,7 @@ TEST(TieredLruTest, DiskTierResetsShardAtBudgetAndRefusesOversize) {
 ProblemSignature Sig(const std::string& key) {
   ProblemSignature signature;
   signature.key = key;
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : key) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  signature.hash = hash;
+  signature.hash = Fnv1a(key);
   return signature;
 }
 

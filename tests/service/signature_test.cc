@@ -281,7 +281,7 @@ TEST(SignatureTest, GoldenExtendSignatureChain) {
   ProblemSignature chained = base;
   for (double value : schedule) {
     chained = ExtendSignature(chained, value);
-    EXPECT_EQ(chained.hash, Fnv1aHash(chained.key));
+    EXPECT_EQ(chained.hash, Fnv1a(chained.key));
   }
   ExpectGoldenKey(chained, 4313, 0xc351ffa323d485d5ull,
                   0xb439a0b7be6c8c10ull);
@@ -295,7 +295,7 @@ TEST(SignatureTest, ExtendedHashEqualsHashOfExtendedKey) {
                        AlgorithmKind::kRta, 1.5, SmallOptions());
   for (double alpha : {1.0, 1.05, 2.0, 1e9}) {
     const ProblemSignature extended = ExtendSignature(base, alpha);
-    EXPECT_EQ(extended.hash, Fnv1aHash(extended.key));
+    EXPECT_EQ(extended.hash, Fnv1a(extended.key));
     EXPECT_EQ(extended.key.substr(0, base.key.size()), base.key);
     EXPECT_EQ(extended.key.size(), base.key.size() + 8);
   }

@@ -8,14 +8,15 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
 #include "core/optimizer.h"
 #include "plan/operators.h"
-#include "query/canonical.h"
 #include "query/query.h"
+#include "util/byte_codec.h"
 #include "util/random.h"
 
 namespace moqo {
@@ -105,19 +106,27 @@ inline CostVector RandomCostVector(Xoshiro256* rng, int dims,
   return cost;
 }
 
+/// Checks encoded bytes (a wire frame, a persisted block, a cache key)
+/// against pinned values: their size and a digest that does not use
+/// FNV-1a, so a change to the shared hash cannot move the pin with it.
+inline void ExpectGoldenBytes(std::string_view bytes, size_t size,
+                              uint64_t digest) {
+  uint64_t bytes_digest = 0;
+  for (unsigned char c : bytes) bytes_digest = bytes_digest * 131 + c;
+  EXPECT_EQ(bytes.size(), size);
+  EXPECT_EQ(bytes_digest, digest);
+}
+
 /// Checks a canonical cache key (ProblemSignature, SubplanSignature)
-/// against pinned values: its size, a digest that does not use FNV-1a (so
-/// the key bytes themselves are pinned, not only the hash that routes
-/// them), and its hash, which must also be FNV-1a of the key.
+/// against pinned values: its size and digest (so the key bytes
+/// themselves are pinned, not only the hash that routes them), and its
+/// hash, which must also be FNV-1a of the key.
 template <typename Signature>
 void ExpectGoldenKey(const Signature& signature, size_t size,
                      uint64_t digest, uint64_t hash) {
-  uint64_t key_digest = 0;
-  for (unsigned char c : signature.key) key_digest = key_digest * 131 + c;
-  EXPECT_EQ(signature.key.size(), size);
-  EXPECT_EQ(key_digest, digest);
+  ExpectGoldenBytes(signature.key, size, digest);
   EXPECT_EQ(signature.hash, hash);
-  EXPECT_EQ(signature.hash, Fnv1aHash(signature.key));
+  EXPECT_EQ(signature.hash, Fnv1a(signature.key));
 }
 
 }  // namespace testing

@@ -9,13 +9,14 @@ Enforces the project contracts the compiler cannot see. Run from anywhere:
 Rules (IDs are stable; tests/lint asserts them exactly):
 
   frozen-enum    net::MsgType / net::ErrorCode / persist::RecordKind and the
-                 format-version constants are append-only wire/disk contracts.
+                 wire/disk format constants (magics, versions, the checksum
+                 seed) are append-only wire/disk contracts.
                  Every entry in tools/lint/frozen_enums.json must still exist
                  with the same value; new entries may only append (no value
                  reuse). To extend an enum intentionally, add the entry and
                  rerun with --write-baseline, then commit the new baseline.
-  raw-encode     Wire/persist encoding goes through the format.h / wire.h
-                 primitives only: outside those files, no reinterpret_cast
+  raw-encode     Wire/persist/cache-key encoding goes through the one byte
+                 codec, util/byte_codec.h: outside it, no reinterpret_cast
                  to byte pointers and no memcpy except the scalar
                  bit-pattern idiom memcpy(&a, &b, sizeof(...)). Genuine
                  exceptions (e.g. decode-side views of checksummed bytes)
@@ -39,8 +40,9 @@ import os
 import re
 import sys
 
-# Files whose whole job is byte-level encoding; raw-encode does not apply.
-ENCODING_FILES = {"src/net/wire.h", "src/net/wire.cc", "src/persist/format.h"}
+# The one file whose whole job is byte-level encoding; raw-encode does not
+# apply there.
+ENCODING_FILES = {"src/util/byte_codec.h"}
 MUTEX_FILE = "src/util/mutex.h"
 BASELINE_REL = "tools/lint/frozen_enums.json"
 README_REL = "README.md"
@@ -56,6 +58,8 @@ FROZEN_CONSTANTS = [
     ("net::kMagic", "src/net/wire.h", "kMagic"),
     ("net::kProtocolVersion", "src/net/wire.h", "kProtocolVersion"),
     ("persist::kFormatVersion", "src/persist/format.h", "kFormatVersion"),
+    ("persist::kSnapshotMagic", "src/persist/format.h", "kSnapshotMagic"),
+    ("persist::kChecksumSeed", "src/persist/format.h", "kChecksumSeed"),
 ]
 
 ENUM_RE = re.compile(r"enum\s+class\s+(\w+)\s*(?::\s*[\w:]+)?\s*\{([^}]*)\}",
@@ -210,7 +214,7 @@ def check_file(root, rel, findings, escapes):
             if hit and not allows(lines, idx, "raw-encode"):
                 findings.append(Finding(
                     "raw-encode", rel, line_no,
-                    "byte-level encoding outside wire.h/format.h primitives "
+                    "byte-level encoding outside util/byte_codec.h "
                     "(or annotate with `lint:allow raw-encode`)"))
 
         if rel != MUTEX_FILE and NAKED_MUTEX_RE.search(code):
