@@ -1,5 +1,5 @@
 // Micro benchmarks (google-benchmark) for the optimizer's hot paths:
-// dominance checks, Pareto-set pruning, cost-model combination, subset
+// dominance checks, Pareto-set pruning, join pricing (terms and fold), subset
 // enumeration, end-to-end optimization of small queries, and the
 // canonical cache keys every service request and DP run derives.
 
@@ -71,26 +71,63 @@ BENCHMARK(BM_ParetoSetPrune)
     ->Args({9, 115})
     ->Args({9, 150});
 
-void BM_CostModelCombine(benchmark::State& state) {
-  Catalog catalog = Catalog::TpcH(0.01);
-  Query query = MakeTpcHQuery(&catalog, 3);
+/// The two halves of pricing one join of two TPC-H Q3 scans, all nine
+/// objectives, cycling through every join config: the operator terms
+/// (computed once per pair of operand-statistics groups by the DP) and
+/// the fold of the children's costs (run once per candidate plan pair).
+struct JoinPricingFixture {
+  JoinPricingFixture()
+      : catalog(Catalog::TpcH(0.01)),
+        query(MakeTpcHQuery(&catalog, 3)),
+        model(&query, &registry, ObjectiveSet::All()),
+        left(model.ScanNode(registry.scan_configs()[0], 0)),
+        right(model.ScanNode(registry.scan_configs()[0], 1)),
+        left_stats(CostModel::StatsOf(left)),
+        right_stats(CostModel::StatsOf(right)),
+        output(model.JoinOutputStats(
+            left_stats, right_stats,
+            model.AnalyzeSplit(left.tables, right.tables))) {}
+
+  Catalog catalog;
+  Query query;
   OperatorRegistry registry;
-  CostModel model(&query, &registry, ObjectiveSet::All());
-  Arena arena;
-  const PlanNode* left =
-      model.MakeScan(registry.scan_configs()[0], 0, &arena);
-  const PlanNode* right =
-      model.MakeScan(registry.scan_configs()[0], 1, &arena);
-  const auto split = model.AnalyzeSplit(left->tables, right->tables);
-  int config = 0;
-  const auto& joins = registry.join_configs();
+  CostModel model;
+  PlanNode left;
+  PlanNode right;
+  OperandStats left_stats;
+  OperandStats right_stats;
+  OperandStats output;
+};
+
+void BM_JoinTerms(benchmark::State& state) {
+  const JoinPricingFixture f;
+  const std::vector<int>& joins = f.registry.join_configs();
+  size_t config = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.JoinNode(joins[config % joins.size()], left, right, split));
+    benchmark::DoNotOptimize(f.model.ComputeJoinTerms(
+        f.registry.config(joins[config % joins.size()]), f.left_stats,
+        f.right_stats, f.output.rows));
     ++config;
   }
 }
-BENCHMARK(BM_CostModelCombine);
+BENCHMARK(BM_JoinTerms);
+
+void BM_FoldJoinCost(benchmark::State& state) {
+  const JoinPricingFixture f;
+  std::vector<CostModel::JoinTerms> terms;
+  for (int config : f.registry.join_configs()) {
+    terms.push_back(f.model.ComputeJoinTerms(f.registry.config(config),
+                                             f.left_stats, f.right_stats,
+                                             f.output.rows));
+  }
+  size_t config = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.model.FoldJoinCost(
+        terms[config % terms.size()], f.left.cost, f.right.cost));
+    ++config;
+  }
+}
+BENCHMARK(BM_FoldJoinCost);
 
 void BM_SubsetEnumeration(benchmark::State& state) {
   const TableSet universe = TableSet::Prefix(static_cast<int>(state.range(0)));

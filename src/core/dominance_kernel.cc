@@ -2,41 +2,15 @@
 
 #include "core/dominance_kernel.h"
 
-#if MOQO_DOMINANCE_AVX2
-#include <immintrin.h>
-#endif
-
 namespace moqo {
 
+namespace internal {
 #if MOQO_DOMINANCE_AVX2
-
-__attribute__((target("avx2"))) bool RowLeqAvx2(const double* a,
-                                                const double* b, int dims) {
-  int d = 0;
-  for (; d + 4 <= dims; d += 4) {
-    const __m256d va = _mm256_loadu_pd(a + d);
-    const __m256d vb = _mm256_loadu_pd(b + d);
-    // Ordered (non-signalling) a > b per lane; any set lane refutes <=.
-    const __m256d gt = _mm256_cmp_pd(va, vb, _CMP_GT_OQ);
-    if (_mm256_movemask_pd(gt) != 0) return false;
-  }
-  for (; d < dims; ++d) {
-    if (a[d] > b[d]) return false;
-  }
-  return true;
-}
-
-namespace internal {
 const bool kRowLeqUseAvx2 = __builtin_cpu_supports("avx2") != 0;
-}  // namespace internal
-
 #else
-
-namespace internal {
 const bool kRowLeqUseAvx2 = false;
+#endif
 }  // namespace internal
-
-#endif  // MOQO_DOMINANCE_AVX2
 
 bool RowLeqKernelIsAvx2() { return internal::kRowLeqUseAvx2; }
 

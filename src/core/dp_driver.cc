@@ -7,6 +7,7 @@
 #include "core/plan_set.h"
 #include "memo/subplan_memo.h"
 #include "obs/trace.h"
+#include "util/byte_codec.h"
 #include "util/thread_pool.h"
 
 namespace moqo {
@@ -17,11 +18,46 @@ namespace {
 // steady-state cost of timeout support is one branch per candidate.
 constexpr long kDeadlinePollInterval = 4096;
 
+// Bitwise equality: equal bits price identically, so grouping on them is
+// exact by construction.
+bool SameStats(const OperandStats& a, const OperandStats& b) {
+  return DoubleBits(a.rows) == DoubleBits(b.rows) &&
+         DoubleBits(a.width) == DoubleBits(b.width);
+}
+
+bool StatsLess(const OperandStats& a, const OperandStats& b) {
+  if (DoubleBits(a.rows) != DoubleBits(b.rows)) {
+    return DoubleBits(a.rows) < DoubleBits(b.rows);
+  }
+  return DoubleBits(a.width) < DoubleBits(b.width);
+}
+
+// Groups `plans` by (cardinality, row width): (*group)[i] is plan i's
+// index into *stats, which holds one entry per distinct pair. All plans of
+// one table set share a width and only sampled scans split cardinalities,
+// so groups are few. `order` is scratch.
+void GroupByStats(const ParetoSet& plans, std::vector<int>* order,
+                  std::vector<int>* group, std::vector<OperandStats>* stats) {
+  const int n = plans.size();
+  order->resize(n);
+  group->resize(n);
+  stats->clear();
+  for (int i = 0; i < n; ++i) (*order)[i] = i;
+  std::sort(order->begin(), order->end(), [&plans](int a, int b) {
+    return StatsLess(CostModel::StatsOf(*plans.at(a)),
+                     CostModel::StatsOf(*plans.at(b)));
+  });
+  for (int i : *order) {
+    const OperandStats s = CostModel::StatsOf(*plans.at(i));
+    if (stats->empty() || !SameStats(stats->back(), s)) stats->push_back(s);
+    (*group)[i] = static_cast<int>(stats->size()) - 1;
+  }
+}
+
 }  // namespace
 
 const ParetoSet& DPPlanGenerator::Run(const Query& query,
                                       const DPOptions& options) {
-  query_ = &query;
   memo_.clear();
   slot_arenas_.clear();
   stats_ = DPStats();
@@ -97,8 +133,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         signatures[i] = key_context_->SignatureFor(level[i]);
         const std::shared_ptr<const PlanSet> entry =
             shared_memo->Lookup(signatures[i]);
-        if (entry != nullptr) {
-          MaterializeFromMemo(level[i], *entry);
+        if (entry != nullptr && MaterializeFromMemo(level[i], *entry)) {
           from_memo[i] = 1;
           ++stats_.memo_hits;
         } else {
@@ -111,7 +146,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
     std::vector<char> built(level.size(), 0);
     if (parallel && level.size() > 1 && !stats_.timed_out &&
         !options.deadline.Expired()) {
-      ProcessLevelParallel(query, level, options, from_memo, &built);
+      ProcessLevelParallel(level, options, from_memo, &built);
     } else {
       for (size_t i = 0; i < level.size(); ++i) {
         const TableSet tables = level[i];
@@ -126,11 +161,11 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         if (stats_.timed_out || options.deadline.Expired() ||
             options.single_plan_mode) {
           if (!options.single_plan_mode) stats_.timed_out = true;
-          ProcessSetQuick(query, tables, options);
+          ProcessSetQuick(tables, options);
           continue;
         }
         ParetoSet& set = memo_[tables.mask()];
-        if (ProcessSetInto(query, tables, options, arena_, &set, &stats_)) {
+        if (ProcessSetInto(tables, options, arena_, &set, &stats_)) {
           built[i] = 1;
           ++stats_.complete_sets;
           stats_.last_complete_set = tables;
@@ -140,7 +175,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
           // this set (and all remaining ones) in quick mode.
           stats_.timed_out = true;
           set.clear();
-          ProcessSetQuick(query, tables, options);
+          ProcessSetQuick(tables, options);
         }
       }
     }
@@ -175,11 +210,34 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
   return SetFor(all);
 }
 
-void DPPlanGenerator::MaterializeFromMemo(TableSet tables,
+bool DPPlanGenerator::MaterializeFromMemo(TableSet tables,
                                           const PlanSet& entry) {
   // rank -> local: the entry stores plans over dense ranks 0..k-1 in the
   // set's ascending member order; Members() is exactly that mapping.
   const std::vector<int> rank_to_local = tables.Members();
+  const TableSet ranks =
+      TableSet::Prefix(static_cast<int>(rank_to_local.size()));
+  const int dims = model_->objectives().size();
+  // Every node must fit the rank space and the run's objective count
+  // before DeepCopyPlanRemapped indexes rank_to_local with its tables.
+  const auto fits = [ranks, dims](const auto& self,
+                                  const PlanNode* node) -> bool {
+    if (node->cost.size() != dims || !ranks.ContainsAll(node->tables)) {
+      return false;
+    }
+    if (node->IsScan()) {
+      return node->right == nullptr && node->table >= 0 &&
+             ranks.Contains(node->table);
+    }
+    return node->right != nullptr && self(self, node->left) &&
+           self(self, node->right);
+  };
+  if (entry.empty()) return false;
+  for (int i = 0; i < entry.size(); ++i) {
+    if (entry.plan(i)->tables != ranks || !fits(fits, entry.plan(i))) {
+      return false;
+    }
+  }
   std::unordered_map<const PlanNode*, const PlanNode*> copied;
   copied.reserve(static_cast<size_t>(entry.size()) * 2);
   std::vector<const PlanNode*> plans;
@@ -189,6 +247,7 @@ void DPPlanGenerator::MaterializeFromMemo(TableSet tables,
         DeepCopyPlanRemapped(entry.plan(i), arena_, rank_to_local, &copied));
   }
   memo_[tables.mask()].LoadSealed(plans);
+  return true;
 }
 
 uint64_t DPPlanGenerator::SplitWorkProxy(TableSet tables,
@@ -202,8 +261,7 @@ uint64_t DPPlanGenerator::SplitWorkProxy(TableSet tables,
   return work;
 }
 
-void DPPlanGenerator::ProcessLevelParallel(const Query& query,
-                                           const std::vector<TableSet>& level,
+void DPPlanGenerator::ProcessLevelParallel(const std::vector<TableSet>& level,
                                            const DPOptions& options,
                                            const std::vector<char>& from_memo,
                                            std::vector<char>* built) {
@@ -271,7 +329,7 @@ void DPPlanGenerator::ProcessLevelParallel(const Query& query,
         TraceSpan set_span(options.tracer, "dp", "dp.set", options.trace_id);
         set_span.AddArg("tables", level[index].Cardinality());
         set_span.AddArg("split_work", static_cast<int64_t>(proxy[index]));
-        if (ProcessSetInto(query, level[index], options, arena,
+        if (ProcessSetInto(level[index], options, arena,
                            outputs[index], &slot_state[slot].stats)) {
           completed[index] = 1;
         } else {
@@ -319,7 +377,7 @@ void DPPlanGenerator::ProcessLevelParallel(const Query& query,
       stats_.last_complete_pareto_count = outputs[i]->size();
     } else {
       outputs[i]->clear();
-      ProcessSetQuick(query, level[i], options);
+      ProcessSetQuick(level[i], options);
     }
   }
 }
@@ -392,8 +450,7 @@ void DPPlanGenerator::ProcessSingletons(const Query& query,
 }
 
 std::vector<DPPlanGenerator::Split> DPPlanGenerator::SplitsOf(
-    const Query& query, TableSet tables, const DPOptions& options) const {
-  (void)query;
+    TableSet tables, const DPOptions& options) const {
   std::vector<Split> connected;
   std::vector<Split> all;
   for (SubsetIterator it(tables); !it.Done(); it.Next()) {
@@ -410,31 +467,74 @@ std::vector<DPPlanGenerator::Split> DPPlanGenerator::SplitsOf(
   return all;
 }
 
-bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
+bool DPPlanGenerator::ProcessSetInto(TableSet tables,
                                      const DPOptions& options, Arena* arena,
                                      ParetoSet* set, DPStats* stats) const {
   const ParetoSet::PruneOptions prune{options.alpha,
                                       options.aggressive_delete};
+  const std::vector<int>& configs = registry_->join_configs();
+  const int num_configs = static_cast<int>(configs.size());
+  // Scratch reused across splits: the right operand's statistics groups,
+  // and for the current left statistics one join output and one row of
+  // terms (num_configs wide) per group.
+  std::vector<char> applicable(num_configs);
+  std::vector<int> order;
+  std::vector<int> right_group;
+  std::vector<OperandStats> group_stats;
+  std::vector<OperandStats> group_output;
+  std::vector<CostModel::JoinTerms> terms;
   long since_poll = 0;
-  for (const Split& split : SplitsOf(query, tables, options)) {
+  for (const Split& split : SplitsOf(tables, options)) {
     const ParetoSet& left_plans = SetFor(split.left);
     const ParetoSet& right_plans = SetFor(split.right);
+    for (int c = 0; c < num_configs; ++c) {
+      applicable[c] = model_->JoinApplicableFast(
+          registry_->config(configs[c]), split.info);
+    }
+    GroupByStats(right_plans, &order, &right_group, &group_stats);
+    const int num_groups = static_cast<int>(group_stats.size());
+    group_output.resize(num_groups);
+    terms.resize(static_cast<size_t>(num_groups) * num_configs);
+
+    OperandStats left_stats;
     for (int li = 0; li < left_plans.size(); ++li) {
       const PlanNode* left = left_plans.at(li);
+      if (li == 0 || !SameStats(CostModel::StatsOf(*left), left_stats)) {
+        // Terms are a pure function of (operator, operand statistics), so
+        // one row per left-statistics change prices every candidate of
+        // this left plan exactly as JoinNode would.
+        left_stats = CostModel::StatsOf(*left);
+        for (int g = 0; g < num_groups; ++g) {
+          group_output[g] =
+              model_->JoinOutputStats(left_stats, group_stats[g], split.info);
+          for (int c = 0; c < num_configs; ++c) {
+            if (!applicable[c]) continue;
+            terms[static_cast<size_t>(g) * num_configs + c] =
+                model_->ComputeJoinTerms(registry_->config(configs[c]),
+                                         left_stats, group_stats[g],
+                                         group_output[g].rows);
+          }
+        }
+      }
       for (int ri = 0; ri < right_plans.size(); ++ri) {
         const PlanNode* right = right_plans.at(ri);
-        for (int config : registry_->join_configs()) {
+        const int g = right_group[ri];
+        const CostModel::JoinTerms* row =
+            &terms[static_cast<size_t>(g) * num_configs];
+        for (int c = 0; c < num_configs; ++c) {
           if (++since_poll >= kDeadlinePollInterval) {
             since_poll = 0;
             if (options.deadline.Expired()) return false;
           }
-          const OperatorConfig& op = registry_->config(config);
-          if (!model_->JoinApplicableFast(op, split.info)) continue;
-          PlanNode candidate =
-              model_->JoinNode(config, left, right, split.info);
+          if (!applicable[c]) continue;
+          const CostVector cost =
+              model_->FoldJoinCost(row[c], left->cost, right->cost);
           ++stats->considered_plans;
-          if (set->WouldInsert(candidate.cost, prune)) {
-            set->Prune(arena->New<PlanNode>(candidate), prune);
+          if (set->WouldInsert(cost, prune)) {
+            set->InsertAccepted(
+                arena->New<PlanNode>(CostModel::AssembleJoin(
+                    configs[c], left, right, group_output[g], cost)),
+                prune);
             ++stats->inserted_plans;
           }
         }
@@ -445,13 +545,13 @@ bool DPPlanGenerator::ProcessSetInto(const Query& query, TableSet tables,
   return true;
 }
 
-void DPPlanGenerator::ProcessSetQuick(const Query& query, TableSet tables,
+void DPPlanGenerator::ProcessSetQuick(TableSet tables,
                                       const DPOptions& options) {
   const WeightVector weights = EffectiveWeights(options);
   ParetoSet& set = memo_[tables.mask()];
   PlanNode best;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (const Split& split : SplitsOf(query, tables, options)) {
+  for (const Split& split : SplitsOf(tables, options)) {
     const PlanNode* left = SetFor(split.left).SelectBestWeighted(weights);
     const PlanNode* right = SetFor(split.right).SelectBestWeighted(weights);
     if (left == nullptr || right == nullptr) continue;

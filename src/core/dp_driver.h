@@ -138,7 +138,7 @@ class DPPlanGenerator {
  public:
   DPPlanGenerator(const CostModel* model, const OperatorRegistry* registry,
                   Arena* arena)
-      : model_(model), registry_(registry), arena_(arena), query_(nullptr) {}
+      : model_(model), registry_(registry), arena_(arena) {}
 
   /// Runs the DP over all non-empty subsets of the query's tables and
   /// returns the plan set for the full set. The returned reference is
@@ -161,25 +161,41 @@ class DPPlanGenerator {
   /// from `arena` and counting into `stats`; seals the set on success.
   /// Returns false if the deadline expired mid-set (the partial set is
   /// discarded and rebuilt quickly by the caller).
-  bool ProcessSetInto(const Query& query, TableSet tables,
-                      const DPOptions& options, Arena* arena, ParetoSet* set,
-                      DPStats* stats) const;
+  ///
+  /// Candidates are enumerated in (split, left plan, right plan, join
+  /// config) order and each is priced by CostModel::FoldJoinCost alone: the
+  /// operator-local JoinTerms depend only on operand cardinality and row
+  /// width, so they are computed once per (left statistics, right
+  /// statistics group, config) — right plans are grouped by their
+  /// statistics per split, and a left plan recomputes its row of terms
+  /// only when its statistics differ from the previous left plan's. Equal
+  /// statistics give bit-identical terms, so the hoisting is exact:
+  /// costs, candidate order, considered/inserted counts and the deadline
+  /// poll are those of calling JoinNode per candidate. Only survivors of
+  /// WouldInsert become PlanNodes.
+  bool ProcessSetInto(TableSet tables, const DPOptions& options,
+                      Arena* arena, ParetoSet* set, DPStats* stats) const;
 
   /// Fans one level's memo-miss table sets out over options.pool (largest
   /// estimated sets first, to shorten the barrier tail); merges stats and
   /// seals every set at the closing barrier. `from_memo[i]` marks sets
   /// already sealed by a memo hit; `built[i]` is set for sets completely
   /// built locally (the publish candidates).
-  void ProcessLevelParallel(const Query& query,
-                            const std::vector<TableSet>& level,
+  void ProcessLevelParallel(const std::vector<TableSet>& level,
                             const DPOptions& options,
                             const std::vector<char>& from_memo,
                             std::vector<char>* built);
 
   /// Seals memo_[tables] from a shared memo snapshot: plans are deep-copied
   /// into the run arena with their table references rebased from the
-  /// entry's dense-rank space to this query's local indices.
-  void MaterializeFromMemo(TableSet tables, const PlanSet& entry);
+  /// entry's dense-rank space to this query's local indices. Returns false,
+  /// leaving memo_ untouched, for an entry that does not fit this run — an
+  /// empty one, or one with a node whose tables or scan table fall outside
+  /// ranks 0..|tables|-1, whose children are half-present, or whose cost
+  /// has another dimension count than the run's objectives (entries can
+  /// come from a disk tier or a restored snapshot); the caller then treats
+  /// the probe as a miss.
+  bool MaterializeFromMemo(TableSet tables, const PlanSet& entry);
 
   /// Estimated candidate count of building `tables`: sum over its splits
   /// of |left frontier| * |right frontier|. Cheap (frontiers of lower
@@ -188,8 +204,7 @@ class DPPlanGenerator {
   uint64_t SplitWorkProxy(TableSet tables, const DPOptions& options) const;
 
   /// Quick mode: single weighted-best plan for `tables`.
-  void ProcessSetQuick(const Query& query, TableSet tables,
-                       const DPOptions& options);
+  void ProcessSetQuick(TableSet tables, const DPOptions& options);
 
   /// One ordered split with its precomputed plan-independent facts.
   struct Split {
@@ -200,7 +215,7 @@ class DPPlanGenerator {
 
   /// Ordered splits of `tables` honouring the Cartesian heuristic and the
   /// bushy/left-deep switch, with SplitInfo computed once per split.
-  std::vector<Split> SplitsOf(const Query& query, TableSet tables,
+  std::vector<Split> SplitsOf(TableSet tables,
                               const DPOptions& options) const;
 
   WeightVector EffectiveWeights(const DPOptions& options) const;
@@ -211,7 +226,6 @@ class DPPlanGenerator {
   /// Scratch arenas for parallel helper slots (slot 0 reuses arena_);
   /// plans they hand out live until the next Run().
   std::vector<std::unique_ptr<Arena>> slot_arenas_;
-  const Query* query_;
   std::unordered_map<uint64_t, ParetoSet> memo_;
   /// Canonical-signature builder of the current run; set iff a subplan
   /// memo is attached and active.

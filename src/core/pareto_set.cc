@@ -12,10 +12,31 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// The two scans are written once, as always-inline templates over the
+// kernel (WouldInsertImpl: the dominator scan; InsertImpl: the deletion
+// scan plus the append), and instantiated twice: into plain wrappers and
+// into AVX2-targeted ones, where the compiler inlines RowLeqAvx2 into the
+// loops. The CPUID flag picks a wrapper once per call instead of
+// dispatching an out-of-line kernel call per row.
+#if defined(__GNUC__) || defined(__clang__)
+#define MOQO_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define MOQO_ALWAYS_INLINE inline
+#endif
+
+template <bool kAvx2>
+MOQO_ALWAYS_INLINE bool Leq(const double* a, const double* b, int dims) {
+#if MOQO_DOMINANCE_AVX2
+  if constexpr (kAvx2) return RowLeqAvx2(a, b, dims);
+#endif
+  return RowLeqScalar(a, b, dims);
+}
+
 }  // namespace
 
-bool ParetoSet::WouldInsert(const CostVector& cost,
-                            const PruneOptions& options) const {
+template <bool kAvx2>
+MOQO_ALWAYS_INLINE bool ParetoSet::WouldInsertImpl(
+    const CostVector& cost, const PruneOptions& options) const {
   const int dims = cost.size();
   // stored ⪯_alpha cost  <=>  stored ⪯ alpha*cost; the alpha multiply is
   // hoisted out of the scans by scaling the candidate once into a
@@ -32,7 +53,9 @@ bool ParetoSet::WouldInsert(const CostVector& cost,
   const bool use_hot = !options.aggressive_delete;
   if (use_hot) {
     for (int h = 0; h < hot_used_; ++h) {
-      if (RowLeq(&hot_[h * kNumObjectives], threshold, dims)) return false;
+      if (Leq<kAvx2>(&hot_[h * kNumObjectives], threshold, dims)) {
+        return false;
+      }
     }
   }
   // Newest blocks first: consecutive candidates usually come from the same
@@ -42,17 +65,16 @@ bool ParetoSet::WouldInsert(const CostVector& cost,
     // A block can contain a dominator only if its component-wise min is
     // below the threshold in every dimension (+inf mins — dead blocks —
     // never pass).
-    if (!RowLeq(&block_min_[static_cast<size_t>(b) * dims_], threshold,
-                dims)) {
+    if (!Leq<kAvx2>(&block_min_[static_cast<size_t>(b) * dims_], threshold,
+                    dims)) {
       continue;
     }
     const int begin = b * kBlockSize;
     const int end = std::min(begin + kBlockSize, rows());
     for (int i = end - 1; i >= begin; --i) {
-      if (plans_[i] != nullptr &&
-          RowLeq(costs + static_cast<size_t>(i) * dims_, threshold, dims)) {
+      const double* row = costs + static_cast<size_t>(i) * dims_;
+      if (plans_[i] != nullptr && Leq<kAvx2>(row, threshold, dims)) {
         if (use_hot) {
-          const double* row = costs + static_cast<size_t>(i) * dims_;
           double* hot = &hot_[hot_next_ * kNumObjectives];
           for (int d = 0; d < dims; ++d) hot[d] = row[d];
           hot_next_ = (hot_next_ + 1) % kHotSlots;
@@ -65,9 +87,9 @@ bool ParetoSet::WouldInsert(const CostVector& cost,
   return true;
 }
 
-bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options) {
-  if (!WouldInsert(plan->cost, options)) return false;
-
+template <bool kAvx2>
+MOQO_ALWAYS_INLINE void ParetoSet::InsertImpl(const PlanNode* plan,
+                                              const PruneOptions& options) {
   const CostVector& cost = plan->cost;
   const int dims = cost.size();
   if (dims_ == 0) dims_ = dims;
@@ -78,12 +100,12 @@ bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options) {
   // dominance by default (see header); approximate dominance only in the
   // ablation mode.
   const bool aggressive = options.aggressive_delete && options.alpha > 1.0;
-  double* costs = costs_.data();
+  const double* costs = costs_.data();
   for (int b = 0; b < NumBlocks(); ++b) {
     // The new plan can dominate a block member only if row <= block_max
     // (-inf maxes — dead blocks — never pass).
     if (!aggressive &&
-        !RowLeq(row, &block_max_[static_cast<size_t>(b) * dims_], dims)) {
+        !Leq<kAvx2>(row, &block_max_[static_cast<size_t>(b) * dims_], dims)) {
       continue;
     }
     const int begin = b * kBlockSize;
@@ -102,7 +124,7 @@ bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options) {
           }
         }
       } else {
-        remove = RowLeq(row, stored, dims);
+        remove = Leq<kAvx2>(row, stored, dims);
       }
       if (remove) {
         plans_[i] = nullptr;
@@ -131,6 +153,57 @@ bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options) {
     bmin[d] = std::min(bmin[d], row[d]);
     bmax[d] = std::max(bmax[d], row[d]);
   }
+}
+
+bool ParetoSet::WouldInsertScalar(const CostVector& cost,
+                                  const PruneOptions& options) const {
+  return WouldInsertImpl<false>(cost, options);
+}
+
+void ParetoSet::InsertScalar(const PlanNode* plan,
+                             const PruneOptions& options) {
+  InsertImpl<false>(plan, options);
+}
+
+#if MOQO_DOMINANCE_AVX2
+__attribute__((target("avx2"))) bool ParetoSet::WouldInsertAvx2(
+    const CostVector& cost, const PruneOptions& options) const {
+  return WouldInsertImpl<true>(cost, options);
+}
+
+__attribute__((target("avx2"))) void ParetoSet::InsertAvx2(
+    const PlanNode* plan, const PruneOptions& options) {
+  InsertImpl<true>(plan, options);
+}
+#else
+bool ParetoSet::WouldInsertAvx2(const CostVector& cost,
+                                const PruneOptions& options) const {
+  return WouldInsertScalar(cost, options);
+}
+
+void ParetoSet::InsertAvx2(const PlanNode* plan, const PruneOptions& options) {
+  InsertScalar(plan, options);
+}
+#endif  // MOQO_DOMINANCE_AVX2
+
+bool ParetoSet::WouldInsert(const CostVector& cost,
+                            const PruneOptions& options) const {
+  return internal::kRowLeqUseAvx2 ? WouldInsertAvx2(cost, options)
+                                  : WouldInsertScalar(cost, options);
+}
+
+void ParetoSet::InsertAccepted(const PlanNode* plan,
+                               const PruneOptions& options) {
+  if (internal::kRowLeqUseAvx2) {
+    InsertAvx2(plan, options);
+  } else {
+    InsertScalar(plan, options);
+  }
+}
+
+bool ParetoSet::Prune(const PlanNode* plan, const PruneOptions& options) {
+  if (!WouldInsert(plan->cost, options)) return false;
+  InsertAccepted(plan, options);
   return true;
 }
 

@@ -23,9 +23,13 @@
 // components plus a parallel plan-pointer array, so the dominance scans
 // stream over dense doubles without dragging plan pointers through the
 // cache — and so the RowLeq kernel (core/dominance_kernel.h) can compare
-// four components per AVX2 instruction where the CPU supports it. Three
-// further optimizations keep the scans tractable without changing
-// semantics:
+// four components per AVX2 instruction where the CPU supports it. The
+// kernel is chosen once per scan, not once per row: the dominator scan
+// (WouldInsert) and the deletion scan (InsertAccepted) are each one
+// always-inline template body instantiated into a scalar and an
+// AVX2-targeted wrapper (the kernel inlined into the loops), and the CPUID
+// flag picks the wrapper. Three further optimizations keep the scans
+// tractable without changing semantics:
 //
 //  * Hoisted precision. The alpha multiply of approximate dominance is
 //    applied once per candidate (scaling it into a stack-local threshold
@@ -76,8 +80,16 @@ class ParetoSet {
   /// arena-allocate only survivors.
   bool WouldInsert(const CostVector& cost, const PruneOptions& options) const;
 
-  /// Attempts to insert `plan`; returns true iff the plan was kept.
-  /// Postcondition: no stored live plan strictly dominates another.
+  /// Second half of Prune: inserts `plan`, deleting the stored plans it
+  /// dominates. Precondition: WouldInsert(plan->cost, options) returned
+  /// true and the set has not been mutated since — the DP driver checks
+  /// every candidate and inserts the few survivors without scanning for a
+  /// dominator twice.
+  void InsertAccepted(const PlanNode* plan, const PruneOptions& options);
+
+  /// Attempts to insert `plan`; returns true iff the plan was kept
+  /// (WouldInsert, then InsertAccepted). Postcondition: no stored live
+  /// plan strictly dominates another.
   bool Prune(const PlanNode* plan, const PruneOptions& options);
 
   /// Convenience overload with exact pruning.
@@ -163,12 +175,32 @@ class ParetoSet {
   std::vector<double> block_min_;
   std::vector<double> block_max_;
 
-  /// Move-to-front cache of recently rejecting cost rows: consecutive
-  /// candidates usually come from the same split and are rejected by the
-  /// same stored plan. Purely an accelerator; stale copies are harmless
-  /// because every cached row belonged to a stored plan whose dominance
-  /// already implied rejection (tombstoning only ever happens to plans
-  /// dominated by a *kept* plan, which then dominates the same candidates).
+  /// Kernel-pinned scan instantiations (see the header comment); the
+  /// public WouldInsert/InsertAccepted pick one per call from the CPUID
+  /// flag. The Avx2 variants may only run when RowLeqKernelIsAvx2() holds
+  /// (they fall back to scalar where AVX2 is not compiled in).
+  template <bool kAvx2>
+  bool WouldInsertImpl(const CostVector& cost,
+                       const PruneOptions& options) const;
+  template <bool kAvx2>
+  void InsertImpl(const PlanNode* plan, const PruneOptions& options);
+  bool WouldInsertScalar(const CostVector& cost,
+                         const PruneOptions& options) const;
+  bool WouldInsertAvx2(const CostVector& cost,
+                       const PruneOptions& options) const;
+  void InsertScalar(const PlanNode* plan, const PruneOptions& options);
+  void InsertAvx2(const PlanNode* plan, const PruneOptions& options);
+
+  /// Tests drive both instantiations with one candidate stream.
+  friend class ParetoSetScanPeer;
+
+  /// FIFO ring of recently rejecting cost rows (a new rejecter overwrites
+  /// the oldest slot): consecutive candidates usually come from the same
+  /// split and are rejected by the same stored plan. Purely an
+  /// accelerator; stale copies are harmless because every cached row
+  /// belonged to a stored plan whose dominance already implied rejection
+  /// (tombstoning only ever happens to plans dominated by a *kept* plan,
+  /// which then dominates the same candidates).
   static constexpr int kHotSlots = 4;
   mutable std::array<double, kHotSlots * kNumObjectives> hot_{};
   mutable int hot_used_ = 0;

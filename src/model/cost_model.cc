@@ -107,12 +107,9 @@ CostVector CostModel::ScanCost(const OperatorConfig& op, int local_table,
   return cost;
 }
 
-CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
-                                      const OperandStats& left_stats,
-                                      const CostVector& left_cost,
-                                      const OperandStats& right_stats,
-                                      const CostVector& right_cost,
-                                      double output_rows) const {
+CostModel::JoinTerms CostModel::ComputeJoinTerms(
+    const OperatorConfig& op, const OperandStats& left_stats,
+    const OperandStats& right_stats, double output_rows) const {
   const CostModelParams& p = params_;
   const double tL = std::max(left_stats.rows, 1.0);
   const double tR = std::max(right_stats.rows, 1.0);
@@ -122,24 +119,14 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
   const double pagesR = right_stats.pages(p.page_bytes);
   const double d = static_cast<double>(op.dop);
 
-  // ---- Operator-local terms. All depend only on operand cardinalities /
-  // widths (plan properties), never on child *costs*; child costs are
-  // folded in below exclusively via sum, max and scale-by-constant.
+  // All terms depend only on operand cardinalities / widths (plan
+  // properties), never on child *costs*; FoldJoinCost folds child costs in
+  // exclusively via sum, max and scale-by-constant.
+  JoinTerms terms;
   double cpu_time = 0;      // Operator CPU work, time units, single core.
   double io_time = 0;       // Operator I/O work (spills), time units.
-  double io_pages = 0;      // Pages moved by the operator itself.
   double cpu_ops = 0;       // Tuple operations (CPU-load objective).
-  double buffer = 0;        // Operator-resident memory, bytes.
-  double disk = 0;          // Operator temp-disk footprint, bytes.
-  double inner_rescans = 1; // Scale on the inner child's additive costs.
-  bool parallel_children = true;   // Operands generated concurrently?
-  double startup_time = 0;  // Filled per operator below.
-
-  const double startup_left_total = Get(left_cost, Objective::kTotalTime);
-  const double startup_right_total = Get(right_cost, Objective::kTotalTime);
-  const double left_startup = Get(left_cost, Objective::kStartupTime);
-  const double right_startup = Get(right_cost, Objective::kStartupTime);
-  const double setup = op.dop > 1 ? p.parallel_setup_cost * d : 0.0;
+  terms.setup = op.dop > 1 ? p.parallel_setup_cost * d : 0.0;
 
   switch (op.type) {
     case OperatorType::kHashJoin: {
@@ -150,15 +137,16 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
       cpu_ops = 2.0 * tL + tR + output_rows;
       const bool spills = bytesL > p.work_mem_bytes;
       if (spills) {
-        io_pages = 2.0 * (pagesL + pagesR);  // Partition write + read.
-        io_time = p.seq_page_cost * io_pages;
-        disk = bytesL + bytesR;
+        terms.io_pages = 2.0 * (pagesL + pagesR);  // Partition write + read.
+        io_time = p.seq_page_cost * terms.io_pages;
+        terms.disk = bytesL + bytesR;
       }
       // Hash table (capped by work_mem when spilling) with overhead.
-      buffer = 1.5 * std::min(bytesL, p.work_mem_bytes) + 2 * p.page_bytes;
+      terms.buffer =
+          1.5 * std::min(bytesL, p.work_mem_bytes) + 2 * p.page_bytes;
       // First output tuple after the whole build side is consumed.
-      startup_time = startup_left_total + right_startup +
-                     (build_cpu_time + io_time) / d + setup;
+      terms.startup = JoinTerms::Startup::kAfterLeftTotal;
+      terms.startup_own = (build_cpu_time + io_time) / d;
       break;
     }
     case OperatorType::kSortMergeJoin: {
@@ -171,42 +159,42 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
       const bool spillL = bytesL > p.work_mem_bytes;
       const bool spillR = bytesR > p.work_mem_bytes;
       if (spillL) {
-        io_pages += 4.0 * pagesL;  // External merge sort: 2 passes r/w.
-        disk += bytesL;
+        terms.io_pages += 4.0 * pagesL;  // External merge sort: 2 passes r/w.
+        terms.disk += bytesL;
       }
       if (spillR) {
-        io_pages += 4.0 * pagesR;
-        disk += bytesR;
+        terms.io_pages += 4.0 * pagesR;
+        terms.disk += bytesR;
       }
-      io_time = p.seq_page_cost * io_pages;
-      buffer = std::min(std::max(bytesL, bytesR), p.work_mem_bytes) +
-               2 * p.page_bytes;
+      io_time = p.seq_page_cost * terms.io_pages;
+      terms.buffer = std::min(std::max(bytesL, bytesR), p.work_mem_bytes) +
+                     2 * p.page_bytes;
       // Both sides must be fully sorted before the first merge output.
-      startup_time =
-          std::max(startup_left_total, startup_right_total) +
-          (sort_cpu_time + io_time) / d + setup;
+      terms.startup = JoinTerms::Startup::kAfterBothTotals;
+      terms.startup_own = (sort_cpu_time + io_time) / d;
       break;
     }
     case OperatorType::kBlockNLJoin: {
-      inner_rescans = std::max(1.0, std::ceil(bytesL / p.work_mem_bytes));
-      parallel_children = false;  // Outer drives inner rescans.
+      terms.inner_rescans =
+          std::max(1.0, std::ceil(bytesL / p.work_mem_bytes));
+      terms.parallel_children = false;  // Outer drives inner rescans.
       cpu_time = p.cpu_operator_cost * tL * tR / 50.0 +
                  p.cpu_tuple_cost * output_rows;
       cpu_ops = tL * tR / 50.0 + output_rows;
-      buffer = std::min(bytesL, p.work_mem_bytes) + 2 * p.page_bytes;
+      terms.buffer = std::min(bytesL, p.work_mem_bytes) + 2 * p.page_bytes;
       // Pipelined: first result as soon as both inputs start producing.
-      startup_time = left_startup + right_startup +
-                     p.cpu_operator_cost * tR / d + setup;
+      terms.startup = JoinTerms::Startup::kPipelined;
+      terms.startup_own = p.cpu_operator_cost * tR / d;
       break;
     }
     case OperatorType::kIndexNLJoin: {
       // Inner is probed via its index; its full-scan cost is only partially
       // paid (amortized index maintenance / cache effects).
-      inner_rescans = 0.1;
-      parallel_children = false;
+      terms.inner_rescans = 0.1;
+      terms.parallel_children = false;
       const double matches_per_probe = std::max(output_rows / tL, 1e-6);
       const double probe_pages = std::max(1.0, matches_per_probe);
-      io_pages = tL * probe_pages;
+      terms.io_pages = tL * probe_pages;
       // Every probe pays a B-tree descent plus random heap-page fetches —
       // cheap for selective outers, uncompetitive for full-table outers
       // (where hash/sort-merge win on total time, as in Figure 3(a)).
@@ -214,67 +202,86 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
       cpu_time = 3.0 * p.cpu_operator_cost * tL +
                  p.cpu_tuple_cost * output_rows;
       cpu_ops = 3.0 * tL + output_rows;
-      buffer = 4 * p.page_bytes;  // Fully pipelined, no hash/sort state.
-      startup_time = left_startup + right_startup + p.index_probe_cost + setup;
+      terms.buffer = 4 * p.page_bytes;  // Fully pipelined, no hash/sort state.
+      terms.startup = JoinTerms::Startup::kPipelined;
+      terms.startup_own = p.index_probe_cost;
       break;
     }
     default:
-      // Scans never reach CombineJoinCost.
+      // Scans never reach ComputeJoinTerms.
       break;
   }
 
-  const double own_time = (cpu_time + io_time) / d + setup;
+  terms.own_time = (cpu_time + io_time) / d + terms.setup;
+  terms.cpu_load = cpu_ops * (1.0 + p.parallel_overhead * (d - 1.0));
+  terms.cores = d;
+  terms.energy = (p.energy_per_cpu * cpu_time + p.energy_per_io * io_time) *
+                 (1.0 + p.energy_parallel_penalty * (d - 1.0));
+  return terms;
+}
 
-  // ---- Fold in child costs per combination kind.
+CostVector CostModel::FoldJoinCost(const JoinTerms& terms,
+                                   const CostVector& left_cost,
+                                   const CostVector& right_cost) const {
+  const double inner = terms.inner_rescans;
+  const double left_total = Get(left_cost, Objective::kTotalTime);
+  const double right_total = Get(right_cost, Objective::kTotalTime);
   CostVector cost(objectives_.size());
 
   // Total time: parallel operand generation takes the max; nested-loop
   // styles consume the outer first, then rescan the inner.
-  {
-    const double children =
-        parallel_children
-            ? std::max(startup_left_total, startup_right_total)
-            : startup_left_total + inner_rescans * startup_right_total;
-    Set(&cost, Objective::kTotalTime, children + own_time);
-  }
+  Set(&cost, Objective::kTotalTime,
+      (terms.parallel_children ? std::max(left_total, right_total)
+                               : left_total + inner * right_total) +
+          terms.own_time);
 
-  Set(&cost, Objective::kStartupTime, startup_time);
+  {
+    const double right_startup = Get(right_cost, Objective::kStartupTime);
+    double children = 0;
+    switch (terms.startup) {
+      case JoinTerms::Startup::kAfterLeftTotal:
+        children = left_total + right_startup;
+        break;
+      case JoinTerms::Startup::kAfterBothTotals:
+        children = std::max(left_total, right_total);
+        break;
+      case JoinTerms::Startup::kPipelined:
+        children = Get(left_cost, Objective::kStartupTime) + right_startup;
+        break;
+    }
+    Set(&cost, Objective::kStartupTime,
+        children + terms.startup_own + terms.setup);
+  }
 
   Set(&cost, Objective::kIOLoad,
       Get(left_cost, Objective::kIOLoad) +
-          inner_rescans * Get(right_cost, Objective::kIOLoad) + io_pages);
+          inner * Get(right_cost, Objective::kIOLoad) + terms.io_pages);
 
   Set(&cost, Objective::kCPULoad,
       Get(left_cost, Objective::kCPULoad) +
-          inner_rescans * Get(right_cost, Objective::kCPULoad) +
-          cpu_ops * (1.0 + p.parallel_overhead * (d - 1.0)));
+          inner * Get(right_cost, Objective::kCPULoad) + terms.cpu_load);
 
   {
     const double left_cores = Get(left_cost, Objective::kCores);
     const double right_cores = Get(right_cost, Objective::kCores);
-    const double children = parallel_children
+    const double children = terms.parallel_children
                                 ? left_cores + right_cores
                                 : std::max(left_cores, right_cores);
-    Set(&cost, Objective::kCores, std::max(children, d));
+    Set(&cost, Objective::kCores, std::max(children, terms.cores));
   }
 
   Set(&cost, Objective::kDiskFootprint,
       std::max({Get(left_cost, Objective::kDiskFootprint),
-                Get(right_cost, Objective::kDiskFootprint), disk}));
+                Get(right_cost, Objective::kDiskFootprint), terms.disk}));
 
   Set(&cost, Objective::kBufferFootprint,
       std::max(Get(left_cost, Objective::kBufferFootprint),
                Get(right_cost, Objective::kBufferFootprint)) +
-          buffer);
+          terms.buffer);
 
-  {
-    const double own_energy =
-        (p.energy_per_cpu * cpu_time + p.energy_per_io * io_time) *
-        (1.0 + p.energy_parallel_penalty * (d - 1.0));
-    Set(&cost, Objective::kEnergy,
-        Get(left_cost, Objective::kEnergy) +
-            inner_rescans * Get(right_cost, Objective::kEnergy) + own_energy);
-  }
+  Set(&cost, Objective::kEnergy,
+      Get(left_cost, Objective::kEnergy) +
+          inner * Get(right_cost, Objective::kEnergy) + terms.energy);
 
   {
     const double a = Get(left_cost, Objective::kTupleLoss);
@@ -282,8 +289,18 @@ CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
     Set(&cost, Objective::kTupleLoss,
         std::clamp(a + b - a * b, 0.0, 1.0));  // 1-(1-a)(1-b)
   }
-
   return cost;
+}
+
+CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
+                                      const OperandStats& left_stats,
+                                      const CostVector& left_cost,
+                                      const OperandStats& right_stats,
+                                      const CostVector& right_cost,
+                                      double output_rows) const {
+  return FoldJoinCost(
+      ComputeJoinTerms(op, left_stats, right_stats, output_rows), left_cost,
+      right_cost);
 }
 
 PlanNode CostModel::ScanNode(int config_id, int local_table) const {
@@ -326,25 +343,23 @@ CostModel::SplitInfo CostModel::AnalyzeSplit(TableSet left_set,
   return info;
 }
 
+OperandStats CostModel::JoinOutputStats(const OperandStats& left,
+                                        const OperandStats& right,
+                                        const SplitInfo& split) const {
+  return {std::max(left.rows * right.rows * split.selectivity, 1e-3),
+          estimator_.JoinOutputWidth(left.width, right.width)};
+}
+
 PlanNode CostModel::JoinNode(int config_id, const PlanNode* left,
                              const PlanNode* right,
                              const SplitInfo& split) const {
-  const OperatorConfig& op = registry_->config(config_id);
-  PlanNode node;
-  node.op_config = config_id;
-  node.table = -1;
-  node.left = left;
-  node.right = right;
-  node.tables = left->tables.Union(right->tables);
-  node.cardinality = std::max(
-      left->cardinality * right->cardinality * split.selectivity, 1e-3);
-  node.row_width =
-      estimator_.JoinOutputWidth(left->row_width, right->row_width);
-  const OperandStats left_stats{left->cardinality, left->row_width};
-  const OperandStats right_stats{right->cardinality, right->row_width};
-  node.cost = CombineJoinCost(op, left_stats, left->cost, right_stats,
-                              right->cost, node.cardinality);
-  return node;
+  const OperandStats left_stats = StatsOf(*left);
+  const OperandStats right_stats = StatsOf(*right);
+  const OperandStats output = JoinOutputStats(left_stats, right_stats, split);
+  return AssembleJoin(config_id, left, right, output,
+                      CombineJoinCost(registry_->config(config_id),
+                                      left_stats, left->cost, right_stats,
+                                      right->cost, output.rows));
 }
 
 PlanNode CostModel::JoinNode(int config_id, const PlanNode* left,

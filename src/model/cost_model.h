@@ -17,12 +17,21 @@
 // tests/model/pono_test.cc verifies the principle of near-optimality
 // (Definition 7) for every objective x operator combination.
 //
+// The recursive step is split in two along exactly that line:
+// ComputeJoinTerms prices the operator from the operands' statistics
+// alone, and FoldJoinCost folds the children's cost vectors in. The DP
+// driver computes terms once per pair of operand-statistics groups and
+// folds once per candidate plan pair; CombineJoinCost/JoinNode are the
+// composition, so every formula exists once.
+//
 // The absolute constants (below) are synthetic but Postgres-flavoured;
 // DESIGN.md's substitution table explains why only the formula structure,
 // not the constants, matters for reproducing the paper.
 
 #ifndef MOQO_MODEL_COST_MODEL_H_
 #define MOQO_MODEL_COST_MODEL_H_
+
+#include <cstdint>
 
 #include "cost/cost_vector.h"
 #include "cost/objective.h"
@@ -117,6 +126,25 @@ class CostModel {
   PlanNode JoinNode(int config_id, const PlanNode* left,
                     const PlanNode* right) const;
 
+  /// The join node of `left` and `right` under config `config_id`, given
+  /// its output statistics and cost (JoinNode's last step; the DP driver
+  /// calls it for pruning survivors only).
+  static PlanNode AssembleJoin(int config_id, const PlanNode* left,
+                               const PlanNode* right,
+                               const OperandStats& output,
+                               const CostVector& cost) {
+    PlanNode node;
+    node.op_config = config_id;
+    node.table = -1;
+    node.left = left;
+    node.right = right;
+    node.tables = left->tables.Union(right->tables);
+    node.cardinality = output.rows;
+    node.row_width = output.width;
+    node.cost = cost;
+    return node;
+  }
+
   /// Arena-allocating conveniences for examples and tests.
   PlanNode* MakeScan(int config_id, int local_table, Arena* arena) const {
     return arena->New<PlanNode>(ScanNode(config_id, local_table));
@@ -126,8 +154,61 @@ class CostModel {
     return arena->New<PlanNode>(JoinNode(config_id, left, right));
   }
 
+  /// The operator-local terms of one join: everything its cost adds on
+  /// top of the children's costs, plus how the children's costs combine.
+  /// A pure function of the operator and the operands' statistics (plan
+  /// properties), never of child costs.
+  struct JoinTerms {
+    /// Which child times the first output tuple waits for.
+    enum class Startup : uint8_t {
+      kAfterLeftTotal,   ///< left total + right startup (hash build).
+      kAfterBothTotals,  ///< max of both totals (both sides sorted).
+      kPipelined,        ///< left startup + right startup.
+    };
+    Startup startup = Startup::kPipelined;
+    /// Operands generated concurrently (total time takes the max of the
+    /// children, cores their sum); false = the outer drives the inner.
+    bool parallel_children = true;
+    /// Scale on the inner child's additive costs.
+    double inner_rescans = 1;
+    double own_time = 0;     ///< Operator work / DOP + parallel setup.
+    double startup_own = 0;  ///< Operator work before the first tuple.
+    double setup = 0;        ///< Parallel setup time.
+    double io_pages = 0;     ///< Pages moved by the operator itself.
+    double cpu_load = 0;     ///< Tuple operations incl. parallel overhead.
+    double cores = 0;        ///< The operator's own DOP.
+    double disk = 0;         ///< Temp-disk footprint, bytes.
+    double buffer = 0;       ///< Operator-resident memory, bytes.
+    double energy = 0;       ///< Operator energy incl. parallel penalty.
+  };
+
+  /// The statistics JoinNode reads off an operand.
+  static OperandStats StatsOf(const PlanNode& plan) {
+    return {plan.cardinality, plan.row_width};
+  }
+
+  /// First half of the recursive step: the terms of joining operands with
+  /// these statistics (`output_rows` = JoinOutputStats(...).rows).
+  JoinTerms ComputeJoinTerms(const OperatorConfig& op,
+                             const OperandStats& left_stats,
+                             const OperandStats& right_stats,
+                             double output_rows) const;
+
+  /// Second half: folds the children's cost vectors with `terms` via sum,
+  /// max and scale-by-constant only. Every expression keeps the operand
+  /// order of the one-step formula (e.g. startup is
+  /// ((left + right) + startup_own) + setup), so
+  /// FoldJoinCost(ComputeJoinTerms(...), l, r) is bit-identical to the
+  /// costs priced before the split. That lets the DP driver compute the
+  /// terms once per pair of operand-statistics groups and fold per
+  /// candidate plan pair — exact, not an approximation.
+  CostVector FoldJoinCost(const JoinTerms& terms, const CostVector& left_cost,
+                          const CostVector& right_cost) const;
+
   /// Core recursive step, exposed for property tests: combines child cost
-  /// vectors under fixed operand statistics. MakeJoin delegates here.
+  /// vectors under fixed operand statistics. Exactly
+  /// FoldJoinCost(ComputeJoinTerms(...), left_cost, right_cost); JoinNode
+  /// delegates here.
   CostVector CombineJoinCost(const OperatorConfig& op,
                              const OperandStats& left_stats,
                              const CostVector& left_cost,
@@ -151,6 +232,12 @@ class CostModel {
 
   /// Analyzes the split (left_set, right_set); right is the inner side.
   SplitInfo AnalyzeSplit(TableSet left_set, TableSet right_set) const;
+
+  /// Output cardinality and row width of joining operands with these
+  /// statistics across `split`.
+  OperandStats JoinOutputStats(const OperandStats& left,
+                               const OperandStats& right,
+                               const SplitInfo& split) const;
 
   /// Fast-path join construction using a precomputed SplitInfo. Both
   /// overloads produce identical nodes; JoinNode recomputes the SplitInfo.

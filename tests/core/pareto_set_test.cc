@@ -16,6 +16,29 @@
 #include "util/random.h"
 
 namespace moqo {
+
+/// Reaches ParetoSet's kernel-pinned scan instantiations.
+class ParetoSetScanPeer {
+ public:
+  static bool WouldInsert(const ParetoSet& set, bool avx2,
+                          const CostVector& cost,
+                          const ParetoSet::PruneOptions& options) {
+    return avx2 ? set.WouldInsertAvx2(cost, options)
+                : set.WouldInsertScalar(cost, options);
+  }
+  /// Prune through one instantiation of both scans.
+  static bool Prune(ParetoSet* set, bool avx2, const PlanNode* plan,
+                    const ParetoSet::PruneOptions& options) {
+    if (!WouldInsert(*set, avx2, plan->cost, options)) return false;
+    if (avx2) {
+      set->InsertAvx2(plan, options);
+    } else {
+      set->InsertScalar(plan, options);
+    }
+    return true;
+  }
+};
+
 namespace {
 
 PlanNode* MakePlan(Arena* arena, std::initializer_list<double> values) {
@@ -307,9 +330,12 @@ INSTANTIATE_TEST_SUITE_P(
 // The SIMD dominance kernel must agree with the scalar reference on every
 // input the scans feed it: random finite rows of every active dimension
 // count, equal rows, and the +/-inf block-summary sentinels. (The
-// randomized cross-check above additionally validates whatever kernel the
-// dispatcher picked end-to-end against the naive pseudo-code.)
+// randomized cross-check above additionally validates whatever scan
+// instantiation the CPUID flag picked end-to-end against the naive
+// pseudo-code.)
 TEST(DominanceKernelTest, DispatchAgreesWithScalar) {
+#if MOQO_DOMINANCE_AVX2
+  if (!RowLeqKernelIsAvx2()) GTEST_SKIP() << "CPU without AVX2";
   Xoshiro256 rng(99);
   const double inf = std::numeric_limits<double>::infinity();
   for (int dims = 1; dims <= kNumObjectives; ++dims) {
@@ -322,13 +348,62 @@ TEST(DominanceKernelTest, DispatchAgreesWithScalar) {
         if (rng.NextInt(uint64_t{10}) == 0) a[d] = inf;   // Dead-block min.
         if (rng.NextInt(uint64_t{10}) == 0) b[d] = -inf;  // Dead-block max.
       }
-      const bool scalar = RowLeqScalar(a, b, dims);
-      ASSERT_EQ(RowLeq(a, b, dims), scalar) << "dims " << dims;
-#if MOQO_DOMINANCE_AVX2
-      if (RowLeqKernelIsAvx2()) {
-        ASSERT_EQ(RowLeqAvx2(a, b, dims), scalar) << "dims " << dims;
-      }
+      ASSERT_EQ(RowLeqAvx2(a, b, dims), RowLeqScalar(a, b, dims))
+          << "dims " << dims;
+    }
+  }
+#else
+  GTEST_SKIP() << "AVX2 kernel not compiled in";
 #endif
+}
+
+// The scalar and AVX2 instantiations of the WouldInsert/Prune scans must
+// make the same decision for every candidate of one seeded stream and end
+// in the same sealed set, for every dimension count and both deletion
+// rules. The stream mixes coarse-grid ties, duplicates and rows that
+// dominate many stored plans, so block skips, tombstones, compaction and
+// the hot-rejecter ring all run.
+TEST(DominanceKernelTest, ScalarAndAvx2ScansAgree) {
+  if (!RowLeqKernelIsAvx2()) GTEST_SKIP() << "CPU without AVX2";
+  for (int dims = 1; dims <= kNumObjectives; ++dims) {
+    for (const bool aggressive : {false, true}) {
+      const ParetoSet::PruneOptions options{1.2, aggressive};
+      Arena arena;
+      Xoshiro256 rng(1000 + dims);
+      ParetoSet scalar, avx2;
+      int kept_count = 0;
+      for (int i = 0; i < 3000; ++i) {
+        PlanNode* plan = arena.New<PlanNode>();
+        plan->cost = CostVector(dims);
+        // The last third is cheaper, so it deletes earlier rows.
+        const double scale = i < 2000 ? 1000.0 : 900.0;
+        for (int d = 0; d < dims; ++d) {
+          plan->cost[d] = static_cast<double>(rng.NextInt(uint64_t{12})) *
+                          scale / 12.0;
+        }
+        const bool would =
+            ParetoSetScanPeer::WouldInsert(scalar, false, plan->cost, options);
+        ASSERT_EQ(ParetoSetScanPeer::WouldInsert(avx2, true, plan->cost,
+                                                  options),
+                  would)
+            << "dims " << dims << " candidate " << i;
+        const bool kept =
+            ParetoSetScanPeer::Prune(&scalar, false, plan, options);
+        ASSERT_EQ(ParetoSetScanPeer::Prune(&avx2, true, plan, options), kept)
+            << "dims " << dims << " candidate " << i;
+        ASSERT_EQ(kept, would);
+        ASSERT_EQ(avx2.size(), scalar.size());
+        kept_count += kept;
+      }
+      // Some kept plans were deleted again.
+      EXPECT_GT(kept_count, scalar.size()) << "dims " << dims;
+      scalar.Seal();
+      avx2.Seal();
+      ASSERT_EQ(avx2.size(), scalar.size());
+      for (int i = 0; i < scalar.size(); ++i) {
+        EXPECT_EQ(avx2.at(i), scalar.at(i));
+        EXPECT_EQ(avx2.cost_at(i), scalar.cost_at(i));
+      }
     }
   }
 }

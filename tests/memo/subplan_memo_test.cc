@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dp_driver.h"
+#include "core/plan_set.h"
 #include "memo/subplan_key.h"
 #include "memo/subplan_memo.h"
 #include "query/query.h"
@@ -264,6 +265,69 @@ TEST_F(SubplanMemoDpTest, ColdRunByteIdenticalWithMemoOnOrOff) {
   EXPECT_GT(on_stats.memo_publishes, 0);
   EXPECT_EQ(memo.GetStats().insertions,
             static_cast<uint64_t>(on_stats.memo_publishes));
+}
+
+// Memo entries can come from a disk tier or a restored snapshot, so a hit
+// must fit the run before it is rebased: an entry whose nodes name tables
+// outside the set's ranks 0..k-1, or whose costs have another dimension
+// count, is a miss — no out-of-bounds read (CI runs this under ASan), the
+// frontiers of the memo-off run, and the local build replaces the entry.
+TEST_F(SubplanMemoDpTest, MalformedEntryIsTreatedAsMiss) {
+  const Query query = MakeChainQuery(&catalog_, 0, 3);
+  DPStats off_stats;
+  const auto off = RunDp(query, nullptr, &off_stats);
+  const TableSet target = TableSet::Prefix(3);
+  const SubplanSignature signature = MakeContext(query).SignatureFor(target);
+
+  Arena arena;
+  const auto scan = [&arena](int table, TableSet tables, int dims) {
+    PlanNode* node = arena.New<PlanNode>();
+    node->op_config = 0;
+    node->table = table;
+    node->tables = tables;
+    node->cost = CostVector(dims, 1.0);
+    node->cardinality = 10;
+    node->row_width = 8;
+    return node;
+  };
+  const auto join = [&arena](const PlanNode* left, const PlanNode* right,
+                             int dims) {
+    PlanNode* node = arena.New<PlanNode>();
+    node->op_config = 0;
+    node->left = left;
+    node->right = right;
+    node->tables = left->tables.Union(right->tables);
+    node->cost = CostVector(dims, 1.0);
+    node->cardinality = 10;
+    node->row_width = 8;
+    return node;
+  };
+  const PlanNode* pair = join(scan(0, TableSet::Singleton(0), 3),
+                              scan(1, TableSet::Singleton(1), 3), 3);
+  const std::vector<const PlanNode*> malformed = {
+      // Scan table far outside ranks 0..2, under a root spanning them.
+      join(pair, scan(40, TableSet::Singleton(2), 3), 3),
+      // Child tables outside the ranks.
+      join(pair, scan(2, TableSet::Singleton(2).With(50), 3), 3),
+      // Root tables other than the set's ranks.
+      pair,
+      // Two cost dimensions in a three-objective run.
+      join(pair, scan(2, TableSet::Singleton(2), 2), 2),
+  };
+  for (size_t m = 0; m < malformed.size(); ++m) {
+    SubplanMemo memo;
+    ParetoSet bad;
+    bad.Prune(malformed[m]);
+    memo.Insert(signature, PlanSet::FromParetoSet(bad));
+    DPStats stats;
+    EXPECT_EQ(RunDp(query, &memo, &stats), off) << "entry " << m;
+    EXPECT_EQ(stats.memo_hits, 0) << "entry " << m;
+    EXPECT_EQ(stats.considered_plans, off_stats.considered_plans);
+    // The local build was published over the malformed entry.
+    DPStats warm_stats;
+    EXPECT_EQ(RunDp(query, &memo, &warm_stats), off) << "entry " << m;
+    EXPECT_GT(warm_stats.memo_hits, 0) << "entry " << m;
+  }
 }
 
 TEST_F(SubplanMemoDpTest, WarmRunByteIdenticalAndCheaper) {

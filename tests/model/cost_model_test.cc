@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/dp_driver.h"
 #include "query/tpch_queries.h"
 #include "testing/test_helpers.h"
 
@@ -225,6 +228,78 @@ TEST_F(CostModelTest, JoinNodeFastPathMatchesSlowPath) {
     EXPECT_EQ(slow.cost, fast.cost);
     EXPECT_DOUBLE_EQ(slow.cardinality, fast.cardinality);
   }
+}
+
+// The DP driver prices candidates as FoldJoinCost over terms computed once
+// per operand-statistics group. For every (left plan, right plan, join
+// config) the DP enumerates on TPC-H Q10 with all nine objectives, terms
+// computed from the statistics of the *first* plan with equal bits on
+// each side must fold to exactly JoinNode's cost, cardinality and width.
+TEST_F(CostModelTest, FoldOfTermsBitIdenticalToJoinNodeOnTpcHQ10) {
+  Catalog catalog = Catalog::TpcH(0.01);
+  const Query query = MakeTpcHQuery(&catalog, 10);
+  ASSERT_EQ(query.num_tables(), 4);
+  OperatorRegistry::Options operators;
+  operators.sampling_rates = {0.05, 0.01};
+  operators.dops = {1, 4};
+  const OperatorRegistry registry(operators);
+  const CostModel model(&query, &registry, ObjectiveSet::All());
+  Arena arena;
+  DPPlanGenerator generator(&model, &registry, &arena);
+  DPOptions options;
+  options.alpha = 1.1;
+  generator.Run(query, options);
+
+  const auto bits = [](const CostVector& c) {
+    std::vector<uint64_t> out;
+    for (int d = 0; d < c.size(); ++d) out.push_back(DoubleBits(c[d]));
+    return out;
+  };
+  // First plan of `set` whose statistics have the bits of `plan`'s.
+  const auto representative = [](const ParetoSet& set, const PlanNode& plan) {
+    for (int i = 0;; ++i) {
+      const PlanNode& other = *set.at(i);
+      if (DoubleBits(other.cardinality) == DoubleBits(plan.cardinality) &&
+          DoubleBits(other.row_width) == DoubleBits(plan.row_width)) {
+        return CostModel::StatsOf(other);
+      }
+    }
+  };
+  long checked = 0;
+  for (uint64_t mask = 1; mask <= query.AllTables().mask(); ++mask) {
+    const TableSet tables(mask);
+    if (tables.Cardinality() < 2) continue;
+    for (SubsetIterator it(tables); !it.Done(); it.Next()) {
+      const ParetoSet& lefts = generator.SetFor(it.Current());
+      const ParetoSet& rights = generator.SetFor(it.Complement());
+      const CostModel::SplitInfo split =
+          model.AnalyzeSplit(it.Current(), it.Complement());
+      for (int li = 0; li < lefts.size(); ++li) {
+        const OperandStats left_stats = representative(lefts, *lefts.at(li));
+        for (int ri = 0; ri < rights.size(); ++ri) {
+          const OperandStats right_stats =
+              representative(rights, *rights.at(ri));
+          const OperandStats output =
+              model.JoinOutputStats(left_stats, right_stats, split);
+          for (int config : registry.join_configs()) {
+            const OperatorConfig& op = registry.config(config);
+            if (!model.JoinApplicableFast(op, split)) continue;
+            const PlanNode node =
+                model.JoinNode(config, lefts.at(li), rights.at(ri), split);
+            const CostVector folded = model.FoldJoinCost(
+                model.ComputeJoinTerms(op, left_stats, right_stats,
+                                       output.rows),
+                lefts.at(li)->cost, rights.at(ri)->cost);
+            ASSERT_EQ(bits(folded), bits(node.cost)) << op.ToString();
+            ASSERT_EQ(DoubleBits(output.rows), DoubleBits(node.cardinality));
+            ASSERT_EQ(DoubleBits(output.width), DoubleBits(node.row_width));
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000);
 }
 
 // Lemma 1 sanity: costs stay finite and polynomially bounded on the
