@@ -5,11 +5,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/dp_driver.h"
 #include "core/exa.h"
 #include "core/pareto_set.h"
+#include "core/plan_set.h"
 #include "core/rta.h"
 #include "memo/subplan_key.h"
+#include "memo/subplan_memo.h"
 #include "model/cost_model.h"
+#include "persist/plan_set_codec.h"
 #include "query/tpch_queries.h"
 #include "service/signature.h"
 #include "util/random.h"
@@ -228,6 +232,87 @@ void BM_SubplanSignatureFor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubplanSignatureFor)->Apply(SignatureQueries);
+
+/// The sealed frontier of TPC-H Q5 (six tables) under six objectives at
+/// the RTA's internal precision for alpha 1.5 — 193 plans over 429
+/// distinct nodes: the copies the memo boundary, frontier snapshots and
+/// the PlanSet codec make of it.
+struct SealedFrontierFixture {
+  SealedFrontierFixture()
+      : catalog(Catalog::TpcH(0.01)),
+        query(MakeTpcHQuery(&catalog, 5)),
+        registry(SignatureOptions().operators),
+        model(&query, &registry, FirstObjectives(6)),
+        generator(&model, &registry, &arena) {
+    options.alpha = RTAInternalPrecision(1.5, query.num_tables());
+    generator.Run(query, options);
+  }
+
+  const ParetoSet& Final() const {
+    return generator.SetFor(query.AllTables());
+  }
+
+  Catalog catalog;
+  Query query;
+  OperatorRegistry registry;
+  CostModel model;
+  Arena arena;
+  DPPlanGenerator generator;
+  DPOptions options;
+};
+
+// Arg 0: FromParetoSet (result snapshot); 1: FromParetoSetRemapped
+// through a dense-rank map (memo publish).
+void BM_PlanSetFromParetoSet(benchmark::State& state) {
+  const SealedFrontierFixture f;
+  std::vector<int> local_to_rank(f.query.num_tables());
+  for (int t = 0; t < f.query.num_tables(); ++t) local_to_rank[t] = t;
+  const bool remap = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        remap ? PlanSet::FromParetoSetRemapped(f.Final(),
+                                               local_to_rank.data())
+              : PlanSet::FromParetoSet(f.Final()));
+  }
+  state.counters["plans"] = f.Final().size();
+}
+BENCHMARK(BM_PlanSetFromParetoSet)->Arg(0)->Arg(1);
+
+// A DP run over a memo that already holds every table set of two or more
+// tables: each such set is a hit (signature, lookup, validation and the
+// rebasing copy into the run's arena), so the run is the memo hit path
+// plus the six singleton scans.
+void BM_MemoMaterialize(benchmark::State& state) {
+  SealedFrontierFixture f;
+  SubplanMemo::Options memo_options;
+  memo_options.min_tables = 2;
+  SubplanMemo memo(memo_options);
+  DPOptions options = f.options;
+  options.subplan_memo = &memo;
+  f.generator.Run(f.query, options);
+  long hits = 0;
+  for (auto _ : state) {
+    Arena arena;
+    DPPlanGenerator generator(&f.model, &f.registry, &arena);
+    benchmark::DoNotOptimize(&generator.Run(f.query, options));
+    hits = generator.stats().memo_hits;
+  }
+  state.counters["hits"] = static_cast<double>(hits);
+}
+BENCHMARK(BM_MemoMaterialize);
+
+void BM_PlanSetCodecAppend(benchmark::State& state) {
+  const SealedFrontierFixture f;
+  const std::shared_ptr<const PlanSet> set = PlanSet::FromParetoSet(f.Final());
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    persist::PlanSetCodec::Append(*set, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["bytes"] = static_cast<double>(out.size());
+}
+BENCHMARK(BM_PlanSetCodecAppend);
 
 }  // namespace
 }  // namespace moqo

@@ -1,12 +1,15 @@
 #include "core/dp_driver.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <limits>
 
 #include "core/plan_set.h"
 #include "memo/subplan_memo.h"
 #include "obs/trace.h"
+#include "plan/plan_dag.h"
 #include "util/byte_codec.h"
 #include "util/thread_pool.h"
 
@@ -193,14 +196,14 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         if (!built[i]) continue;
         const ParetoSet& set = SetFor(level[i]);
         if (!shared_memo->Admits(set, options.alpha)) continue;
-        std::vector<int> local_to_rank(query.num_tables(), -1);
-        const std::vector<int> members = level[i].Members();
-        for (size_t r = 0; r < members.size(); ++r) {
-          local_to_rank[members[r]] = static_cast<int>(r);
+        std::array<int, TableSet::kMaxTables> local_to_rank{};
+        int rank = 0;
+        for (uint64_t m = level[i].mask(); m != 0; m &= m - 1) {
+          local_to_rank[std::countr_zero(m)] = rank++;
         }
-        shared_memo->Insert(signatures[i],
-                            PlanSet::FromParetoSetRemapped(set,
-                                                           local_to_rank));
+        shared_memo->Insert(
+            signatures[i],
+            PlanSet::FromParetoSetRemapped(set, local_to_rank.data()));
         ++stats_.memo_publishes;
       }
       publish_span.AddArg("publishes",
@@ -212,39 +215,47 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
 
 bool DPPlanGenerator::MaterializeFromMemo(TableSet tables,
                                           const PlanSet& entry) {
-  // rank -> local: the entry stores plans over dense ranks 0..k-1 in the
-  // set's ascending member order; Members() is exactly that mapping.
-  const std::vector<int> rank_to_local = tables.Members();
-  const TableSet ranks =
-      TableSet::Prefix(static_cast<int>(rank_to_local.size()));
-  const int dims = model_->objectives().size();
-  // Every node must fit the rank space and the run's objective count
-  // before DeepCopyPlanRemapped indexes rank_to_local with its tables.
-  const auto fits = [ranks, dims](const auto& self,
-                                  const PlanNode* node) -> bool {
-    if (node->cost.size() != dims || !ranks.ContainsAll(node->tables)) {
-      return false;
-    }
-    if (node->IsScan()) {
-      return node->right == nullptr && node->table >= 0 &&
-             ranks.Contains(node->table);
-    }
-    return node->right != nullptr && self(self, node->left) &&
-           self(self, node->right);
-  };
   if (entry.empty()) return false;
+  // rank -> local: the entry stores plans over dense ranks 0..k-1 in the
+  // set's ascending member order.
+  std::array<int, TableSet::kMaxTables> rank_to_local{};
+  int k = 0;
+  for (uint64_t m = tables.mask(); m != 0; m &= m - 1) {
+    rank_to_local[k++] = std::countr_zero(m);
+  }
+  const TableSet ranks = TableSet::Prefix(k);
+  const int dims = model_->objectives().size();
+  // Every distinct node must fit the rank space and the run's objective
+  // count before the copy indexes rank_to_local with its tables. One
+  // DAG-shared pass maps each fitting node to itself and any other to
+  // null, so a malformed entry is a miss that costs no arena nodes.
+  PlanDagWalker<const PlanNode*> walker(entry.size());
+  const auto fits = [ranks, dims](const PlanNode* node,
+                                  auto&& walk) -> const PlanNode* {
+    if (node->cost.size() != dims || !ranks.ContainsAll(node->tables)) {
+      return nullptr;
+    }
+    const bool ok =
+        node->IsScan()
+            ? node->right == nullptr && node->table >= 0 &&
+                  node->table < TableSet::kMaxTables &&
+                  ranks.Contains(node->table)
+            : node->right != nullptr && node->table < 0 &&
+                  walk(node->left) != nullptr && walk(node->right) != nullptr;
+    return ok ? node : nullptr;
+  };
   for (int i = 0; i < entry.size(); ++i) {
-    if (entry.plan(i)->tables != ranks || !fits(fits, entry.plan(i))) {
+    if (entry.plan(i)->tables != ranks ||
+        walker.Walk(entry.plan(i), fits) == nullptr) {
       return false;
     }
   }
-  std::unordered_map<const PlanNode*, const PlanNode*> copied;
-  copied.reserve(static_cast<size_t>(entry.size()) * 2);
+  walker.Clear();
   std::vector<const PlanNode*> plans;
   plans.reserve(entry.size());
   for (int i = 0; i < entry.size(); ++i) {
     plans.push_back(
-        DeepCopyPlanRemapped(entry.plan(i), arena_, rank_to_local, &copied));
+        CopyPlanDag(entry.plan(i), arena_, &walker, rank_to_local.data()));
   }
   memo_[tables.mask()].LoadSealed(plans);
   return true;

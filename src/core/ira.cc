@@ -53,6 +53,8 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
   CostModel model(problem.query, &registry_, problem.objectives);
   OptimizerResult result;
   int iteration = 0;
+  // Work is summed over every refinement iteration: each is a full DP.
+  long considered_plans = 0;
   while (true) {
     ++iteration;
     const double alpha = iteration >= options_.max_iterations
@@ -68,6 +70,7 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
     DPOptions dp =
         MakeDPOptions(problem, RTAInternalPrecision(alpha, n), deadline);
     const ParetoSet& pareto = generator.Run(*problem.query, dp);
+    considered_plans += generator.stats().considered_plans;
     const PlanNode* popt = pareto.SelectBest(problem.weights, bounds);
 
     // Converged: the alpha_U guarantee of Theorem 6 holds (the exact
@@ -87,6 +90,7 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
       result = FinishResult(problem, generator, pareto, bounds,
                             watch.ElapsedMillis());
       result.metrics.iterations = iteration;
+      result.metrics.considered_plans = considered_plans;
       // A deadline exit between iterations truncates refinement without
       // the DP itself timing out; the result then carries no alpha_U
       // guarantee and must be reported (and treated by caches) as

@@ -116,6 +116,7 @@ struct OptimizerMetrics {
   double optimization_ms = 0;
   size_t memory_bytes = 0;     ///< Arena + plan-set footprint (last iter).
   bool timed_out = false;
+  /// Candidate plans costed, summed over all iterations for IRA.
   long considered_plans = 0;
   /// #Pareto plans of the last completely treated table set (Figure 5/9).
   int last_complete_pareto_count = 0;

@@ -3,71 +3,42 @@
 #include "core/plan_set.h"
 
 #include <limits>
-#include <unordered_map>
 
+#include "plan/plan_dag.h"
 #include "rt/failpoint.h"
 
 namespace moqo {
 
-namespace {
-
-/// Deep copy preserving DAG sharing: every distinct source node is copied
-/// exactly once. Frontier plans of one table set share most of their
-/// sub-plans through the DP memo, so the naive per-plan recursive copy
-/// would multiply the footprint by the frontier size.
-const PlanNode* CopyShared(
-    const PlanNode* node, Arena* arena,
-    std::unordered_map<const PlanNode*, const PlanNode*>* copied) {
-  if (node == nullptr) return nullptr;
-  auto it = copied->find(node);
-  if (it != copied->end()) return it->second;
-  PlanNode* copy = arena->New<PlanNode>(*node);
-  copy->left = CopyShared(node->left, arena, copied);
-  copy->right = CopyShared(node->right, arena, copied);
-  (*copied)[node] = copy;
-  return copy;
+std::shared_ptr<PlanSet> PlanSet::CopyRoots(
+    const std::vector<const PlanNode*>& roots, const int* table_map) {
+  // make_shared needs a public constructor; the private one is reached
+  // through this local subclass trampoline.
+  struct Constructible : PlanSet {};
+  auto result = std::make_shared<Constructible>();
+  PlanDagWalker<const PlanNode*> copied(roots.size());
+  result->plans_.reserve(roots.size());
+  result->costs_.reserve(roots.size());
+  for (const PlanNode* root : roots) {
+    result->plans_.push_back(
+        CopyPlanDag(root, &result->arena_, &copied, table_map));
+    result->costs_.push_back(root->cost);
+  }
+  return result;
 }
-
-}  // namespace
 
 std::shared_ptr<const PlanSet> PlanSet::FromParetoSet(const ParetoSet& set) {
   if (set.empty()) return Empty();
   // Frontier snapshots deep-copy into a fresh arena; arm with `oom` to
   // fail the copy before any allocation happens.
   MOQO_FAILPOINT("planset.snapshot");
-  // make_shared needs a public constructor; the private one is reached
-  // through this local subclass trampoline.
-  struct Constructible : PlanSet {};
-  auto result = std::make_shared<Constructible>();
-  std::unordered_map<const PlanNode*, const PlanNode*> copied;
-  copied.reserve(static_cast<size_t>(set.size()) * 2);
-  const std::vector<const PlanNode*> plans = set.plans();
-  result->plans_.reserve(plans.size());
-  result->costs_.reserve(plans.size());
-  for (const PlanNode* plan : plans) {
-    result->plans_.push_back(CopyShared(plan, &result->arena_, &copied));
-    result->costs_.push_back(plan->cost);
-  }
-  return result;
+  return CopyRoots(set.plans(), nullptr);
 }
 
 std::shared_ptr<const PlanSet> PlanSet::FromParetoSetRemapped(
-    const ParetoSet& set, const std::vector<int>& table_map) {
+    const ParetoSet& set, const int* table_map) {
   if (set.empty()) return Empty();
   MOQO_FAILPOINT("planset.snapshot.remap");
-  struct Constructible : PlanSet {};
-  auto result = std::make_shared<Constructible>();
-  std::unordered_map<const PlanNode*, const PlanNode*> copied;
-  copied.reserve(static_cast<size_t>(set.size()) * 2);
-  const std::vector<const PlanNode*> plans = set.plans();
-  result->plans_.reserve(plans.size());
-  result->costs_.reserve(plans.size());
-  for (const PlanNode* plan : plans) {
-    result->plans_.push_back(
-        DeepCopyPlanRemapped(plan, &result->arena_, table_map, &copied));
-    result->costs_.push_back(plan->cost);
-  }
-  return result;
+  return CopyRoots(set.plans(), table_map);
 }
 
 std::shared_ptr<const PlanSet> PlanSet::Empty() {
@@ -80,16 +51,14 @@ std::shared_ptr<const PlanSet> PlanSet::Empty() {
 std::shared_ptr<const PlanSet> PlanSet::FromIndices(
     const PlanSet& source, const std::vector<int>& indices) {
   if (indices.empty()) return Empty();
-  struct Constructible : PlanSet {};
-  auto result = std::make_shared<Constructible>();
-  std::unordered_map<const PlanNode*, const PlanNode*> copied;
-  copied.reserve(indices.size() * 2);
-  result->plans_.reserve(indices.size());
-  result->costs_.reserve(indices.size());
-  for (int i : indices) {
-    result->plans_.push_back(
-        CopyShared(source.plan(i), &result->arena_, &copied));
-    result->costs_.push_back(source.cost(i));
+  std::vector<const PlanNode*> roots;
+  roots.reserve(indices.size());
+  for (int i : indices) roots.push_back(source.plan(i));
+  std::shared_ptr<PlanSet> result = CopyRoots(roots, nullptr);
+  // The source's cost matrix is authoritative: a decoded set carries it
+  // apart from its nodes' costs.
+  for (size_t k = 0; k < indices.size(); ++k) {
+    result->costs_[k] = source.cost(indices[k]);
   }
   return result;
 }

@@ -8,7 +8,8 @@
 // scalarization of it ("users cannot make optimal choices for bounds and
 // weights if they are not aware of the possible tradeoffs", Section 4,
 // Figure 4). A PlanSet snapshots the optimizer's final ParetoSet — plans
-// deep-copied into a private arena with DAG sharing preserved — so callers,
+// deep-copied into a private arena with DAG sharing preserved, by one
+// flat-map walk per snapshot (PlanDagWalker, plan/plan_dag.h) — so callers,
 // caches, and service responses can alias one frontier via
 // shared_ptr<const PlanSet> and answer any later preference (weights +
 // bounds) by an O(|frontier|) SelectPlan scan instead of a new DP run.
@@ -46,12 +47,12 @@ class PlanSet {
 
   /// FromParetoSet with table renumbering: every copied node's table
   /// references are rewritten through `table_map` (new = table_map[old];
-  /// see DeepCopyPlanRemapped). DAG sharing is preserved. The cross-query
-  /// subplan memo publishes sealed per-table-set frontiers through this,
-  /// rebasing plans from query-local indices into the set's canonical
-  /// dense-rank space; costs are copied verbatim (they are index-free).
+  /// see CopyPlanDag). DAG sharing is preserved. The cross-query subplan
+  /// memo publishes sealed per-table-set frontiers through this, rebasing
+  /// plans from query-local indices into the set's canonical dense-rank
+  /// space; costs are copied verbatim (they are index-free).
   static std::shared_ptr<const PlanSet> FromParetoSetRemapped(
-      const ParetoSet& set, const std::vector<int>& table_map);
+      const ParetoSet& set, const int* table_map);
 
   /// Deep-copies the plans at `indices` (in the given order) into a new
   /// set, preserving DAG sharing among them. Building block of
@@ -84,6 +85,12 @@ class PlanSet {
 
  private:
   PlanSet() = default;
+
+  /// Deep-copies `roots`, in order, into a fresh set through one DAG walk
+  /// (plan/plan_dag.h), renumbering tables through `table_map` when it is
+  /// non-null; costs_[i] is roots[i]->cost. Backs every factory above.
+  static std::shared_ptr<PlanSet> CopyRoots(
+      const std::vector<const PlanNode*>& roots, const int* table_map);
 
   /// The on-disk codec (src/persist/plan_set_codec.h) materializes decoded
   /// snapshots directly into a fresh set's arena — the only writer besides

@@ -1,13 +1,19 @@
 // Copyright (c) 2026 moqo authors. MIT license.
+//
+// Append flattens the set's plan DAG with one PlanDagWalker walk
+// (plan/plan_dag.h): each distinct node gets its node-table index in
+// children-before-parents order, and the walk hands every parent its
+// children's indices, so emitting the table needs no second lookup.
+// Decode needs no walker at all: a valid block is already in that order.
 
 #include "persist/plan_set_codec.h"
 
 #include <cassert>
-#include <unordered_map>
 #include <vector>
 
 #include "cost/objective.h"
 #include "persist/format.h"
+#include "plan/plan_dag.h"
 #include "plan/plan_node.h"
 #include "util/byte_codec.h"
 #include "util/table_set.h"
@@ -15,30 +21,26 @@
 namespace moqo {
 namespace persist {
 
-namespace {
-
-/// Children-before-parents node enumeration with DAG dedup: every distinct
-/// node gets exactly one index, child indices are always smaller than the
-/// parent's. Mirrors CopyShared in plan_set.cc, but flattening instead of
-/// copying.
-void EnumerateNodes(const PlanNode* node,
-                    std::unordered_map<const PlanNode*, uint32_t>* index,
-                    std::vector<const PlanNode*>* nodes) {
-  if (node == nullptr || index->count(node) != 0) return;
-  EnumerateNodes(node->left, index, nodes);
-  EnumerateNodes(node->right, index, nodes);
-  (*index)[node] = static_cast<uint32_t>(nodes->size());
-  nodes->push_back(node);
-}
-
-}  // namespace
-
 void PlanSetCodec::Append(const PlanSet& set, std::string* out) {
-  std::unordered_map<const PlanNode*, uint32_t> index;
-  std::vector<const PlanNode*> nodes;
-  index.reserve(static_cast<size_t>(set.size()) * 2);
+  // Children-before-parents node table with DAG dedup: every distinct node
+  // gets exactly one index, and child indices are always smaller than the
+  // parent's.
+  struct Flat {
+    const PlanNode* node;
+    uint32_t left, right;
+  };
+  std::vector<Flat> nodes;
+  std::vector<uint32_t> roots(set.size());
+  PlanDagWalker<uint32_t> index(set.size());
+  const auto enumerate = [&nodes](const PlanNode* node, auto&& walk) {
+    const uint32_t left = node->left == nullptr ? kNoChild : walk(node->left);
+    const uint32_t right =
+        node->right == nullptr ? kNoChild : walk(node->right);
+    nodes.push_back(Flat{node, left, right});
+    return static_cast<uint32_t>(nodes.size() - 1);
+  };
   for (int i = 0; i < set.size(); ++i) {
-    EnumerateNodes(set.plan(i), &index, &nodes);
+    roots[i] = index.Walk(set.plan(i), enumerate);
   }
   const uint32_t dims =
       set.empty() ? 0 : static_cast<uint32_t>(set.cost(0).size());
@@ -52,14 +54,12 @@ void PlanSetCodec::Append(const PlanSet& set, std::string* out) {
     assert(cost.size() == static_cast<int>(dims));
     for (uint32_t d = 0; d < dims; ++d) PutF64(out, cost[d]);
   }
-  for (int i = 0; i < set.size(); ++i) {
-    PutU32(out, index.at(set.plan(i)));
-  }
-  for (const PlanNode* node : nodes) {
+  for (uint32_t root : roots) PutU32(out, root);
+  for (const auto& [node, left, right] : nodes) {
     PutI32(out, node->op_config);
     PutI32(out, node->table);
-    PutU32(out, node->left == nullptr ? kNoChild : index.at(node->left));
-    PutU32(out, node->right == nullptr ? kNoChild : index.at(node->right));
+    PutU32(out, left);
+    PutU32(out, right);
     PutU64(out, node->tables.mask());
     PutF64(out, node->cardinality);
     PutF64(out, node->row_width);

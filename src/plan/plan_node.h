@@ -8,13 +8,17 @@
 // its operands. Therefore, each stored plan needs only O(1) space."
 // We additionally cache the cost vector and derived properties (cardinality,
 // row width) that the recursive cost formulas consume.
+//
+// Plans of one table set share sub-plans, so a set of plans is a DAG, not
+// a forest. Every walk that copies or flattens such a set across an arena
+// boundary (frontier snapshots, subplan memo publish and hit, the on-disk
+// codec) goes through plan/plan_dag.h, which visits each distinct node once
+// over a flat visited map.
 
 #ifndef MOQO_PLAN_PLAN_NODE_H_
 #define MOQO_PLAN_PLAN_NODE_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "cost/cost_vector.h"
 #include "util/arena.h"
@@ -59,23 +63,6 @@ struct PlanNode {
 
 static_assert(std::is_trivially_destructible_v<PlanNode>,
               "PlanNode must be arena-compatible");
-
-/// Recursively copies `plan` (and all sub-plans) into `arena`; returns the
-/// new root. Used to hand plans to callers that outlive the optimizer run
-/// that produced them.
-const PlanNode* DeepCopyPlan(const PlanNode* plan, Arena* arena);
-
-/// DAG-sharing deep copy that additionally *renumbers* table references:
-/// every node's `table` and `tables` are rewritten through `table_map`
-/// (new_index = table_map[old_index]; every referenced old index must have
-/// a valid mapping). `copied` carries the source-node -> copy mapping, so
-/// copies of several roots through one map preserve sub-plan sharing among
-/// them. The cross-query subplan memo uses this in both directions: plans
-/// are stored in the table set's canonical dense-rank space and rebound to
-/// a query's local indices on a hit.
-const PlanNode* DeepCopyPlanRemapped(
-    const PlanNode* plan, Arena* arena, const std::vector<int>& table_map,
-    std::unordered_map<const PlanNode*, const PlanNode*>* copied);
 
 /// Structural equality of two plans (same operators, tables, and shape).
 bool PlansEqual(const PlanNode* a, const PlanNode* b);

@@ -7,11 +7,14 @@
 
 #include <cmath>
 
+#include "catalog/catalog.h"
+#include "core/dp_driver.h"
 #include "core/exa.h"
 #include "core/ira.h"
 #include "core/rta.h"
 #include "core/selinger.h"
 #include "frontier/frontier.h"
+#include "query/tpch_queries.h"
 #include "testing/test_helpers.h"
 
 namespace moqo {
@@ -323,6 +326,51 @@ TEST_F(OptimizerTest, IraPrefersFeasiblePlanOverCheaperViolator) {
     EXPECT_TRUE(ira.respects_bounds) << "seed " << seed;
   }
   EXPECT_GT(feasible_cases, 0);
+}
+
+// IRA's considered_plans is its whole work: the sum over every refinement
+// iteration's DP, recomputed here by running each iteration's DP alone.
+TEST_F(OptimizerTest, IraConsideredPlansSumsEveryIteration) {
+  const Catalog catalog = Catalog::TpcH(0.01);
+  const Query query = MakeTpcHQuery(&catalog, 10);
+  const int n = query.num_tables();
+  MOQOProblem problem;
+  problem.query = &query;
+  problem.objectives =
+      ObjectiveSet({Objective::kTotalTime, Objective::kBufferFootprint,
+                    Objective::kTupleLoss, Objective::kEnergy});
+  const int l = problem.objectives.size();
+  problem.weights = WeightVector::Uniform(l);
+  problem.bounds = BoundVector(l);
+  problem.bounds[1] = 6e4;     // Buffer footprint, bytes.
+  problem.bounds[2] = 0.9996;  // Tuple loss.
+  OptimizerOptions options;
+  options.alpha = 1.5;
+  options.operators.sampling_rates = {0.05, 0.01};
+  options.operators.dops = {1, 4};
+  const OptimizerResult result = IRAOptimizer(options).Optimize(problem);
+  ASSERT_FALSE(result.metrics.timed_out);
+  ASSERT_GT(result.metrics.iterations, 1);
+  ASSERT_LT(result.metrics.iterations, options.max_iterations);
+
+  const OperatorRegistry registry(options.operators);
+  const CostModel model(&query, &registry, problem.objectives);
+  long sum = 0;
+  long last = 0;
+  for (int i = 1; i <= result.metrics.iterations; ++i) {
+    Arena arena;
+    DPPlanGenerator generator(&model, &registry, &arena);
+    DPOptions dp;
+    dp.alpha = RTAInternalPrecision(
+        IRAIterationPrecision(options.alpha, i, l), n);
+    dp.quick_mode_weights = problem.weights;
+    generator.Run(query, dp);
+    ASSERT_FALSE(generator.stats().timed_out);
+    last = generator.stats().considered_plans;
+    sum += last;
+  }
+  EXPECT_EQ(result.metrics.considered_plans, sum);
+  EXPECT_GT(result.metrics.considered_plans, last);
 }
 
 TEST_F(OptimizerTest, SelingerMatchesExaOnSingleObjective) {

@@ -5,11 +5,16 @@
 
 #include "core/plan_set.h"
 
+#include <map>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "catalog/catalog.h"
+#include "core/dp_driver.h"
 #include "core/exa.h"
+#include "query/tpch_queries.h"
 #include "testing/test_helpers.h"
 
 namespace moqo {
@@ -220,6 +225,226 @@ TEST(PlanSetTest, SelectPlanEmptyBoundsEqualsUnbounded) {
       SelectPlan(*set, weights, BoundVector::Unbounded(2));
   EXPECT_EQ(no_bounds.plan, unbounded.plan);
   EXPECT_EQ(no_bounds.weighted_cost, unbounded.weighted_cost);
+}
+
+// Snapshot copies through the flat DAG walker (plan/plan_dag.h), on the
+// real DAG a DP leaves behind: frontier plans of TPC-H Q3's final set
+// share most of their sub-plans.
+class PlanSetCopyTest : public ::testing::Test {
+ protected:
+  PlanSetCopyTest()
+      : catalog_(Catalog::TpcH(0.01)),
+        query_(MakeTpcHQuery(&catalog_, 3)),
+        registry_(testing::SmallOperatorSpace()),
+        model_(&query_, &registry_,
+               ObjectiveSet({Objective::kTotalTime,
+                             Objective::kBufferFootprint,
+                             Objective::kTupleLoss})),
+        generator_(&model_, &registry_, &arena_) {
+    DPOptions options;
+    options.alpha = 1.05;
+    generator_.Run(query_, options);
+  }
+
+  const ParetoSet& Final() const {
+    return generator_.SetFor(query_.AllTables());
+  }
+
+  /// Walks `sources` and `copies` in lockstep and checks that the copy is
+  /// a bijection on distinct nodes: every source node has exactly one
+  /// copy, shared by pointer wherever the source shares it.
+  static void ExpectIsomorphicDag(const std::vector<const PlanNode*>& sources,
+                                  const std::vector<const PlanNode*>& copies) {
+    ASSERT_EQ(sources.size(), copies.size());
+    std::map<const PlanNode*, const PlanNode*> copy_of, source_of;
+    std::vector<std::pair<const PlanNode*, const PlanNode*>> stack;
+    for (size_t i = 0; i < sources.size(); ++i) {
+      stack.emplace_back(sources[i], copies[i]);
+    }
+    while (!stack.empty()) {
+      const auto [source, copy] = stack.back();
+      stack.pop_back();
+      ASSERT_EQ(source == nullptr, copy == nullptr);
+      if (source == nullptr) continue;
+      EXPECT_NE(source, copy);
+      const auto [it, fresh] = copy_of.emplace(source, copy);
+      EXPECT_EQ(it->second, copy);
+      EXPECT_EQ(source_of.emplace(copy, source).first->second, source);
+      if (!fresh) continue;
+      stack.emplace_back(source->left, copy->left);
+      stack.emplace_back(source->right, copy->right);
+    }
+    EXPECT_EQ(copy_of.size(), source_of.size());
+  }
+
+  static std::vector<const PlanNode*> Plans(const PlanSet& set) {
+    std::vector<const PlanNode*> plans;
+    for (int i = 0; i < set.size(); ++i) plans.push_back(set.plan(i));
+    return plans;
+  }
+
+  Catalog catalog_;
+  Query query_;
+  OperatorRegistry registry_;
+  CostModel model_;
+  Arena arena_;
+  DPPlanGenerator generator_;
+};
+
+TEST_F(PlanSetCopyTest, SnapshotCopiesEachDistinctNodeOnce) {
+  const ParetoSet& final_set = Final();
+  ASSERT_GT(final_set.size(), 1);
+  std::shared_ptr<const PlanSet> set = PlanSet::FromParetoSet(final_set);
+  ASSERT_EQ(set->size(), final_set.size());
+  ExpectIsomorphicDag(final_set.plans(), Plans(*set));
+  for (int i = 0; i < set->size(); ++i) {
+    EXPECT_TRUE(PlansEqual(set->plan(i), final_set.at(i)));
+    EXPECT_EQ(PlanHash(set->plan(i)), PlanHash(final_set.at(i)));
+    EXPECT_EQ(set->cost(i), final_set.at(i)->cost);
+  }
+}
+
+TEST_F(PlanSetCopyTest, RemappedSnapshotMatchesMembersRemap) {
+  const ParetoSet& final_set = Final();
+  // Non-monotone: reverses the query's table order, then shifts it up.
+  std::vector<int> table_map(query_.num_tables());
+  for (int t = 0; t < query_.num_tables(); ++t) {
+    table_map[t] = 10 + query_.num_tables() - 1 - t;
+  }
+  std::shared_ptr<const PlanSet> set =
+      PlanSet::FromParetoSetRemapped(final_set, table_map.data());
+  ASSERT_EQ(set->size(), final_set.size());
+  ExpectIsomorphicDag(final_set.plans(), Plans(*set));
+  // Reference: the Members()-based renumbering, node by node.
+  std::vector<std::pair<const PlanNode*, const PlanNode*>> stack;
+  for (int i = 0; i < set->size(); ++i) {
+    stack.emplace_back(final_set.at(i), set->plan(i));
+    EXPECT_EQ(set->cost(i), final_set.at(i)->cost);
+  }
+  while (!stack.empty()) {
+    const auto [source, copy] = stack.back();
+    stack.pop_back();
+    if (source == nullptr) continue;
+    TableSet expected;
+    for (int table : source->tables.Members()) {
+      expected = expected.With(table_map[table]);
+    }
+    EXPECT_EQ(copy->tables, expected);
+    EXPECT_EQ(copy->table,
+              source->table >= 0 ? table_map[source->table] : -1);
+    stack.emplace_back(source->left, copy->left);
+    stack.emplace_back(source->right, copy->right);
+  }
+}
+
+TEST(PlanSetTest, SnapshotGrowsPastInitialReservation) {
+  // Two plans, each a left-deep chain over its own 30 scans: 118 distinct
+  // nodes for a walker budgeted at kNodesPerPlan per plan.
+  Arena arena;
+  ParetoSet source;
+  for (int p = 0; p < 2; ++p) {
+    const PlanNode* chain = nullptr;
+    for (int t = 0; t < 30; ++t) {
+      PlanNode* scan = arena.New<PlanNode>();
+      scan->table = t;
+      scan->tables = TableSet::Singleton(t);
+      scan->cost = CostVector(2, 1.0);
+      if (chain == nullptr) {
+        chain = scan;
+        continue;
+      }
+      PlanNode* join = arena.New<PlanNode>();
+      join->left = chain;
+      join->right = scan;
+      join->tables = chain->tables.Union(scan->tables);
+      join->cost = CostVector(2);
+      join->cost[0] = p == 0 ? 1 : 2;
+      join->cost[1] = p == 0 ? 2 : 1;
+      chain = join;
+    }
+    source.Prune(chain);
+  }
+  source.Seal();
+  ASSERT_EQ(source.size(), 2);
+
+  std::shared_ptr<const PlanSet> set = PlanSet::FromParetoSet(source);
+  ASSERT_EQ(set->size(), 2);
+  std::set<const PlanNode*> copies;
+  std::vector<const PlanNode*> stack = {set->plan(0), set->plan(1)};
+  while (!stack.empty()) {
+    const PlanNode* node = stack.back();
+    stack.pop_back();
+    if (node == nullptr || !copies.insert(node).second) continue;
+    stack.push_back(node->left);
+    stack.push_back(node->right);
+  }
+  EXPECT_EQ(copies.size(), 118u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(PlansEqual(set->plan(i), source.at(i)));
+    EXPECT_EQ(PlanHash(set->plan(i)), PlanHash(source.at(i)));
+  }
+}
+
+TEST(PlanSetTest, EmptyAndSingleScanCopies) {
+  Arena arena;
+  ParetoSet source = BuildSet(&arena, {{3, 4}});
+  std::shared_ptr<const PlanSet> set = PlanSet::FromParetoSet(source);
+  EXPECT_EQ(PlanSet::FromIndices(*set, {}).get(), PlanSet::Empty().get());
+  EXPECT_EQ(PlanSet::FromParetoSetRemapped(ParetoSet(), nullptr).get(),
+            PlanSet::Empty().get());
+
+  ASSERT_EQ(set->size(), 1);
+  EXPECT_NE(set->plan(0), source.at(0));
+  EXPECT_EQ(set->plan(0)->left, nullptr);
+  EXPECT_EQ(set->plan(0)->right, nullptr);
+  EXPECT_TRUE(PlansEqual(set->plan(0), source.at(0)));
+  EXPECT_EQ(set->cost(0), source.cost_at(0));
+
+  const int table_map[1] = {9};
+  std::shared_ptr<const PlanSet> remapped =
+      PlanSet::FromParetoSetRemapped(source, table_map);
+  ASSERT_EQ(remapped->size(), 1);
+  EXPECT_EQ(remapped->plan(0)->table, 9);
+  EXPECT_EQ(remapped->cost(0), source.cost_at(0));
+
+  std::shared_ptr<const PlanSet> single = PlanSet::FromIndices(*set, {0});
+  ASSERT_EQ(single->size(), 1);
+  EXPECT_NE(single->plan(0), set->plan(0));
+  EXPECT_TRUE(PlansEqual(single->plan(0), set->plan(0)));
+}
+
+TEST_F(PlanSetCopyTest, FromIndicesAndCompactCopiesEqualSources) {
+  std::shared_ptr<const PlanSet> full = PlanSet::FromParetoSet(Final());
+  ASSERT_GE(full->size(), 3);
+  // Out of stored order: copies follow `indices`, sharing intact.
+  const std::vector<int> indices = {full->size() - 1, 0, full->size() / 2};
+  std::shared_ptr<const PlanSet> picked = PlanSet::FromIndices(*full, indices);
+  ASSERT_EQ(picked->size(), 3);
+  std::vector<const PlanNode*> sources;
+  for (size_t k = 0; k < indices.size(); ++k) {
+    const PlanNode* source = full->plan(indices[k]);
+    sources.push_back(source);
+    EXPECT_TRUE(PlansEqual(picked->plan(k), source));
+    EXPECT_EQ(PlanHash(picked->plan(k)), PlanHash(source));
+    EXPECT_EQ(picked->cost(k), full->cost(indices[k]));
+  }
+  ExpectIsomorphicDag(sources, Plans(*picked));
+
+  std::shared_ptr<const PlanSet> compact = CompactPlanSet(full, 0.5, 0);
+  ASSERT_LT(compact->size(), full->size());
+  ASSERT_GE(compact->size(), 1);
+  // The greedy cover keeps plans in stored order: match each kept plan to
+  // the next source plan with the same cost bits.
+  int next = 0;
+  for (int k = 0; k < compact->size(); ++k) {
+    while (next < full->size() && !(full->cost(next) == compact->cost(k))) {
+      ++next;
+    }
+    ASSERT_LT(next, full->size()) << "kept plan " << k;
+    EXPECT_TRUE(PlansEqual(compact->plan(k), full->plan(next)));
+    EXPECT_EQ(PlanHash(compact->plan(k)), PlanHash(full->plan(next)));
+    ++next;
+  }
 }
 
 }  // namespace

@@ -32,6 +32,10 @@ Rules (IDs are stable; tests/lint asserts them exactly):
   tsa-escape     MOQO_NO_THREAD_SAFETY_ANALYSIS needs a justifying comment
                  containing "TSA:" within the 3 lines above, and the total
                  count across src/ is capped (--max-tsa-escapes).
+  plan-dag-walk  No std::unordered_map/unordered_set keyed by PlanNode* in
+                 src/: walks over a plan DAG go through the one flat
+                 visited map, PlanDagWalker (plan/plan_dag.h), instead of a
+                 hash-map node per plan node.
 """
 
 import argparse
@@ -80,6 +84,8 @@ NAKED_MUTEX_RE = re.compile(
     r"std::condition_variable(?:_any)?\b")
 NONDET_RE = re.compile(r"std::random_device\b|(?<![\w:])s?rand\s*\(")
 ESCAPE_TOKEN = "MOQO_NO_THREAD_SAFETY_ANALYSIS"
+PLAN_NODE_MAP_RE = re.compile(
+    r"unordered_(?:map|set)\s*<\s*(?:const\s+)?PlanNode\s*\*")
 
 
 class Finding:
@@ -227,6 +233,12 @@ def check_file(root, rel, findings, escapes):
             findings.append(Finding(
                 "nondeterminism", rel, line_no,
                 "unseeded randomness is banned; use a seeded generator"))
+
+        if PLAN_NODE_MAP_RE.search(code):
+            findings.append(Finding(
+                "plan-dag-walk", rel, line_no,
+                "PlanNode*-keyed unordered container; walk plan DAGs with "
+                "PlanDagWalker (plan/plan_dag.h)"))
 
         if (ESCAPE_TOKEN in code and
                 rel != "src/util/thread_annotations.h"):
