@@ -2,8 +2,9 @@
 // EXA versus IRA with alpha in {1.15, 1.5, 2}. Optimization always
 // considers all nine objectives while the number of bounds varies over
 // {3, 6, 9}. Reports timeout percentage, mean time, mean memory (of the
-// last iteration), mean #iterations, and weighted cost as a percentage of
-// the per-case best.
+// last iteration), mean #iterations (the schedule index that stopped the
+// IRA) next to the mean number of DPs the IRA actually ran for it, and
+// weighted cost as a percentage of the per-case best.
 //
 // Expected shape (paper): the EXA's performance is insensitive to the
 // number of bounds and times out massively (464 timeouts over the paper's
@@ -41,7 +42,7 @@ int main() {
       static_cast<long long>(config.options.timeout_ms), config.cases);
 
   TablePrinter table({"query", "tables", "bounds", "algo", "timeout%",
-                      "time_ms", "memory_KB", "iters", "wcost%"});
+                      "time_ms", "memory_KB", "iters", "dp_runs", "wcost%"});
 
   long exa_timeouts = 0, ira_timeouts = 0;
   double exa_total_ms = 0, ira_total_ms = 0;
@@ -88,6 +89,7 @@ int main() {
                       FormatDouble(stats.mean_time_ms, 1),
                       FormatDouble(stats.mean_memory_kb, 0),
                       FormatDouble(stats.mean_iterations, 1),
+                      FormatDouble(stats.mean_refinement_runs, 1),
                       FormatDouble(stats.mean_weighted_cost_pct, 2)});
         for (const RunOutcome& o : outcomes[a]) {
           if (a == 0) {

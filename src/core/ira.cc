@@ -1,6 +1,8 @@
 #include "core/ira.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace moqo {
 
@@ -42,6 +44,49 @@ bool IRAOptimizer::StoppingConditionMet(const ParetoSet& set,
   return true;
 }
 
+int IRAOptimizer::NextIteration(const ParetoSet& set,
+                                const WeightVector& weights,
+                                const BoundVector& bounds,
+                                const PlanNode* popt, int iteration,
+                                int max_step, double alpha_u,
+                                int num_objectives, int max_iterations) {
+  // The forced-exact iteration is entered only from the one before it.
+  if (iteration + 1 >= max_iterations) return max_iterations;
+  const int cap = std::min(iteration + max_step, max_iterations - 1);
+
+  // The lowest precision at which some witness still fails the test.
+  const double alpha =
+      IRAIterationPrecision(alpha_u, iteration, num_objectives);
+  const bool deflation = bounds.Respects(popt->cost);
+  const double popt_cost = weights.WeightedCost(popt->cost);
+  double level = std::numeric_limits<double>::infinity();
+  for (const PlanNode* p : set.plans()) {
+    if (!bounds.RespectsRelaxed(p->cost, alpha)) continue;
+    // e(p): below it p no longer fails the test. It is at least v(p), the
+    // least relaxation of B that p respects (a zero cost respects even a
+    // zero bound).
+    double e = 0;
+    for (int d = 0; d < bounds.size(); ++d) {
+      if (!bounds.IsUnbounded(d) && p->cost[d] > 0) {
+        e = std::max(e, p->cost[d] / bounds[d]);
+      }
+    }
+    if (deflation) {
+      const double cost = weights.WeightedCost(p->cost);
+      if (cost / alpha >= popt_cost / alpha_u) continue;
+      e = std::max(e, alpha_u * cost / popt_cost);
+    }
+    level = std::min(level, e);
+  }
+
+  int next = iteration + 1;
+  while (next < cap &&
+         IRAIterationPrecision(alpha_u, next, num_objectives) >= level) {
+    ++next;
+  }
+  return next;
+}
+
 OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
   StopWatch watch;
   const int l = problem.objectives.size();
@@ -52,11 +97,12 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
 
   CostModel model(problem.query, &registry_, problem.objectives);
   OptimizerResult result;
-  int iteration = 0;
-  // Work is summed over every refinement iteration: each is a full DP.
+  int iteration = 1;
+  int max_step = 1;  // Galloping cap on the next jump; doubles per failure.
+  // Work is summed over every DP that ran.
   long considered_plans = 0;
+  int refinement_runs = 0;
   while (true) {
-    ++iteration;
     const double alpha = iteration >= options_.max_iterations
                              ? 1.0  // Safety net: exact final iteration.
                              : IRAIterationPrecision(options_.alpha,
@@ -71,6 +117,7 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
         MakeDPOptions(problem, RTAInternalPrecision(alpha, n), deadline);
     const ParetoSet& pareto = generator.Run(*problem.query, dp);
     considered_plans += generator.stats().considered_plans;
+    ++refinement_runs;
     const PlanNode* popt = pareto.SelectBest(problem.weights, bounds);
 
     // Converged: the alpha_U guarantee of Theorem 6 holds (the exact
@@ -91,6 +138,7 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
                             watch.ElapsedMillis());
       result.metrics.iterations = iteration;
       result.metrics.considered_plans = considered_plans;
+      result.metrics.refinement_runs = refinement_runs;
       // A deadline exit between iterations truncates refinement without
       // the DP itself timing out; the result then carries no alpha_U
       // guarantee and must be reported (and treated by caches) as
@@ -98,6 +146,12 @@ OptimizerResult IRAOptimizer::Optimize(const MOQOProblem& problem) {
       if (!converged && out_of_time) result.metrics.timed_out = true;
       return result;
     }
+    // Skip the indices at which this set's witnesses would still fail
+    // the test, up to the galloping cap.
+    iteration = NextIteration(pareto, problem.weights, bounds, popt,
+                              iteration, max_step, options_.alpha, l,
+                              options_.max_iterations);
+    max_step = std::min(2 * max_step, options_.max_iterations);
   }
 }
 

@@ -56,8 +56,9 @@ struct OptimizerOptions {
   bool cartesian_heuristic = true;
   /// Ablation only: guarantee-destroying aggressive pruning (Section 6.2).
   bool aggressive_delete = false;
-  /// IRA: hard cap on refinement iterations (safety net; Theorem 8
-  /// guarantees termination well before this in practice).
+  /// IRA: the schedule index whose DP runs exact (alpha = 1), a safety
+  /// net (Theorem 8 guarantees termination well before it in practice).
+  /// It is reached only from the index before it, never by a jump.
   int max_iterations = 64;
   /// Intra-query parallelism: threads cooperating on each DP level
   /// (1 = serial; the calling thread counts as one). Requires `dp_pool`.
@@ -116,12 +117,19 @@ struct OptimizerMetrics {
   double optimization_ms = 0;
   size_t memory_bytes = 0;     ///< Arena + plan-set footprint (last iter).
   bool timed_out = false;
-  /// Candidate plans costed, summed over all iterations for IRA.
+  /// Candidate plans costed, summed over every DP behind the answer (for
+  /// IRA, the `refinement_runs` DPs it actually ran).
   long considered_plans = 0;
   /// #Pareto plans of the last completely treated table set (Figure 5/9).
   int last_complete_pareto_count = 0;
-  /// Refinement iterations executed (1 for EXA/RTA; Figure 10 for IRA).
+  /// Schedule index of the deciding iteration: 1 for EXA, the rung number
+  /// for an RTA ladder, and for IRA the i of the precision alpha_i that
+  /// passed the stopping test (Figure 10's "#iterations"). IRA skips the
+  /// indices at which the test cannot change, so this is not a DP count.
   int iterations = 1;
+  /// DPs run to produce the answer: 1 for EXA/RTA; for IRA the schedule
+  /// indices it visited, at most `iterations`.
+  int refinement_runs = 1;
 };
 
 /// The outcome of one optimization: the full approximate Pareto set
@@ -213,9 +221,10 @@ double RTAInternalPrecision(double alpha_u, int num_tables);
 /// IRA precision-refinement policy (Algorithm 3, line 8):
 /// alpha(i) = alpha_U ^ (2^(-i/(3l-3))), strictly decreasing in the
 /// iteration counter i >= 1 and chosen so the i-th iteration's worst-case
-/// time doubles per iteration (Theorem 7), making redundant work across
-/// iterations negligible. For l = 1 the policy degenerates to halving the
-/// exponent each iteration.
+/// time doubles per iteration (Theorem 7). Measured DPs grow far slower,
+/// so IRAOptimizer runs only the indices whose stopping test can change
+/// (IRAOptimizer::NextIteration). For l = 1 the policy degenerates to
+/// halving the exponent each iteration.
 double IRAIterationPrecision(double alpha_u, int iteration,
                              int num_objectives);
 

@@ -64,6 +64,7 @@ CellStats Aggregate(const std::vector<RunOutcome>& outcomes,
   if (outcomes.empty()) return stats;
   int timeouts = 0;
   double time_sum = 0, memory_sum = 0, pareto_sum = 0, iter_sum = 0;
+  double runs_sum = 0;
   double cost_pct_sum = 0;
   int cost_cases = 0;
   for (size_t i = 0; i < outcomes.size(); ++i) {
@@ -73,6 +74,7 @@ CellStats Aggregate(const std::vector<RunOutcome>& outcomes,
     memory_sum += static_cast<double>(o.metrics.memory_bytes) / 1024.0;
     pareto_sum += o.metrics.last_complete_pareto_count;
     iter_sum += o.metrics.iterations;
+    runs_sum += o.metrics.refinement_runs;
     if (i < best_weighted.size() && best_weighted[i] > 0 &&
         std::isfinite(best_weighted[i]) && o.has_plan) {
       cost_pct_sum += 100.0 * o.weighted_cost / best_weighted[i];
@@ -84,6 +86,7 @@ CellStats Aggregate(const std::vector<RunOutcome>& outcomes,
   stats.mean_memory_kb = memory_sum / stats.cases;
   stats.mean_pareto_plans = pareto_sum / stats.cases;
   stats.mean_iterations = iter_sum / stats.cases;
+  stats.mean_refinement_runs = runs_sum / stats.cases;
   stats.mean_weighted_cost_pct =
       cost_cases > 0 ? cost_pct_sum / cost_cases : 0;
   return stats;

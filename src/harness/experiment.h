@@ -38,6 +38,7 @@ struct CellStats {
   double mean_memory_kb = 0;
   double mean_pareto_plans = 0;
   double mean_iterations = 0;
+  double mean_refinement_runs = 0;  ///< DPs per answer (IRA: < iterations).
   /// Mean weighted cost as percentage of the per-case best over all
   /// compared algorithms (>= 100).
   double mean_weighted_cost_pct = 0;

@@ -101,9 +101,10 @@ TEST_F(DpGoldenTest, RtaNineObjectivesTpcHQ2Parallel) {
   testing::ExpectGoldenBytes(bytes, 126220, 3545257468887581556ull);
 }
 
-// IRA with two finite bounds that force eleven refinement iterations, each
-// a full DP: the final frontier, the selected plan, the iteration count and
-// the considered plans summed over all eleven iterations are pinned.
+// IRA with two finite bounds that force eleven refinement iterations: the
+// final frontier, the selected plan, the iteration count and the considered
+// plans summed over the five DPs the IRA runs to reach iteration eleven
+// (1, 2, 4, 8, 11) are pinned.
 TEST_F(DpGoldenTest, IraTwoBoundsTpcHQ10) {
   const Query query = MakeTpcHQuery(&catalog_, 10);
   MOQOProblem problem;
@@ -134,7 +135,7 @@ TEST_F(DpGoldenTest, IraTwoBoundsTpcHQ10) {
   PutU64(&bytes, PlanHash(result.plan));
   PutI32(&bytes, result.metrics.iterations);
   PutI64(&bytes, result.metrics.considered_plans);
-  testing::ExpectGoldenBytes(bytes, 4424, 4755320586466964654ull);
+  testing::ExpectGoldenBytes(bytes, 4424, 4750448575616388119ull);
 }
 
 }  // namespace

@@ -302,6 +302,112 @@ TEST_F(OptimizerTest, IraStoppingConditionRejectsViolatingPopt) {
                                                  /*alpha_u=*/1.5));
 }
 
+// NextIteration fixtures: two objectives, uniform weights, dimension 1
+// bounded by 1.0, alpha_U = 1.5. The paper's schedule is then alpha_1 =
+// 1.380, alpha_2 = 1.291, alpha_3 = 1.225, alpha_4 = 1.175, ...,
+// alpha_11 = 1.032, alpha_12 = 1.026.
+class IraNextIterationTest : public OptimizerTest {
+ protected:
+  static constexpr double kAlphaU = 1.5;
+  static constexpr int kL = 2;
+
+  IraNextIterationTest() : weights_(WeightVector::Uniform(kL)), bounds_(kL) {
+    bounds_[1] = 1.0;
+  }
+
+  const PlanNode* Add(double c0, double c1) {
+    PlanNode* plan = arena_.New<PlanNode>();
+    plan->cost = CostVector(kL);
+    plan->cost[0] = c0;
+    plan->cost[1] = c1;
+    set_.Prune(plan);
+    return plan;
+  }
+
+  /// The first schedule index after `iteration` whose precision is below
+  /// `level`.
+  static int FirstIndexBelow(double level, int iteration) {
+    int k = iteration + 1;
+    while (IRAIterationPrecision(kAlphaU, k, kL) >= level) ++k;
+    return k;
+  }
+
+  int Next(int iteration, int max_step, int max_iterations = 64) {
+    const PlanNode* popt = set_.SelectBest(weights_, bounds_);
+    EXPECT_FALSE(IRAOptimizer::StoppingConditionMet(
+        set_, weights_, bounds_, popt,
+        IRAIterationPrecision(kAlphaU, iteration, kL), kAlphaU));
+    return IRAOptimizer::NextIteration(set_, weights_, bounds_, popt,
+                                       iteration, max_step, kAlphaU, kL,
+                                       max_iterations);
+  }
+
+  Arena arena_;
+  ParetoSet set_;
+  WeightVector weights_;
+  BoundVector bounds_;
+};
+
+// A witness breaking the bound by 3% fails the test until alpha < 1.03:
+// its target is the first index below that, here twelve.
+TEST_F(IraNextIterationTest, JumpsToFirstIndexBelowWitnessBoundRatio) {
+  const PlanNode* popt = Add(2.0, 0.5);  // C_W 2.5, respects B.
+  Add(0.1, 1.03);                        // Witness: v = 1.03.
+  Add(2.4, 0.2);  // Respects B but 2.6 / alpha_1 > 2.5 / 1.5: no witness.
+  ASSERT_EQ(set_.SelectBest(weights_, bounds_), popt);
+  EXPECT_EQ(FirstIndexBelow(1.03, 1), 12);
+  EXPECT_EQ(Next(1, /*max_step=*/64), 12);
+  // From a later index the target is the same schedule index.
+  EXPECT_EQ(Next(10, /*max_step=*/64), 12);
+}
+
+// The deflation term: a witness whose weighted cost is close to popt's
+// stops failing the test once alpha_U * C_W(p) / C_W(popt) exceeds alpha,
+// before alpha drops below its bound ratio v(p).
+TEST_F(IraNextIterationTest, DeflationTermLiftsTheWitnessLevel) {
+  Add(2.0, 0.5);    // popt, C_W 2.5.
+  Add(0.94, 1.06);  // v = 1.06, C_W 2.0: e = max(1.06, 1.5 * 2.0 / 2.5).
+  Add(0.05, 1.5);   // Breaks 1.38 * B: no witness at alpha_1.
+  EXPECT_EQ(FirstIndexBelow(1.2, 1), 4);
+  EXPECT_EQ(FirstIndexBelow(1.06, 1), 9);  // v alone would jump further.
+  EXPECT_EQ(Next(1, /*max_step=*/64), 4);
+}
+
+// The galloping cap bounds every jump to iteration + max_step.
+TEST_F(IraNextIterationTest, GallopingCapBoundsTheJump) {
+  Add(2.0, 0.5);
+  Add(0.1, 1.03);  // Target 12.
+  EXPECT_EQ(Next(1, /*max_step=*/1), 2);
+  EXPECT_EQ(Next(2, /*max_step=*/2), 4);
+  EXPECT_EQ(Next(4, /*max_step=*/4), 8);
+  EXPECT_EQ(Next(8, /*max_step=*/8), 12);  // The target is below the cap.
+}
+
+// The forced-exact iteration max_iterations is entered only from
+// max_iterations - 1, however far the witness target lies.
+TEST_F(IraNextIterationTest, NeverJumpsIntoTheExactIteration) {
+  Add(2.0, 0.5);
+  Add(0.1, 1.03);  // Target 12.
+  EXPECT_EQ(Next(1, /*max_step=*/64, /*max_iterations=*/8), 7);
+  EXPECT_EQ(Next(6, /*max_step=*/64, /*max_iterations=*/8), 7);
+  EXPECT_EQ(Next(7, /*max_step=*/64, /*max_iterations=*/8), 8);
+  // Also when the target is exactly max_iterations.
+  EXPECT_EQ(Next(1, /*max_step=*/64, /*max_iterations=*/12), 11);
+}
+
+// When popt violates B, a witness is any plan respecting alpha * B, and it
+// stops failing the test as soon as alpha < v(p): the deflation term does
+// not apply (here it would give 1.5 * 12.2 / 6.0 = 3.05, i.e. index 2).
+TEST_F(IraNextIterationTest, ViolatingPoptUsesTheBoundRatioOnly) {
+  bounds_[1] = 2.0;
+  const PlanNode* popt = Add(1.0, 5.0);  // Nothing respects B.
+  Add(10.0, 2.2);                        // v = 1.1.
+  ASSERT_EQ(set_.SelectBest(weights_, bounds_), popt);
+  ASSERT_FALSE(bounds_.Respects(popt->cost));
+  EXPECT_EQ(FirstIndexBelow(1.1, 1), 7);
+  EXPECT_EQ(Next(1, /*max_step=*/64), 7);
+}
+
 TEST_F(OptimizerTest, IraPrefersFeasiblePlanOverCheaperViolator) {
   // End-to-end version of the regression: whenever the EXA can find a
   // bound-respecting plan, the IRA's answer must respect the bounds too.
@@ -328,8 +434,10 @@ TEST_F(OptimizerTest, IraPrefersFeasiblePlanOverCheaperViolator) {
   EXPECT_GT(feasible_cases, 0);
 }
 
-// IRA's considered_plans is its whole work: the sum over every refinement
-// iteration's DP, recomputed here by running each iteration's DP alone.
+// IRA's considered_plans is its whole work: the sum over every DP it ran.
+// The refinement loop is replayed here — a DP at each visited schedule
+// index, the stopping test, then NextIteration — and the replay's DP count,
+// deciding index and summed considered plans must match the IRA's metrics.
 TEST_F(OptimizerTest, IraConsideredPlansSumsEveryIteration) {
   const Catalog catalog = Catalog::TpcH(0.01);
   const Query query = MakeTpcHQuery(&catalog, 10);
@@ -355,20 +463,35 @@ TEST_F(OptimizerTest, IraConsideredPlansSumsEveryIteration) {
 
   const OperatorRegistry registry(options.operators);
   const CostModel model(&query, &registry, problem.objectives);
+  std::vector<int> visited;
   long sum = 0;
   long last = 0;
-  for (int i = 1; i <= result.metrics.iterations; ++i) {
+  for (int i = 1, max_step = 1;; max_step *= 2) {
+    visited.push_back(i);
+    const double alpha = IRAIterationPrecision(options.alpha, i, l);
     Arena arena;
     DPPlanGenerator generator(&model, &registry, &arena);
     DPOptions dp;
-    dp.alpha = RTAInternalPrecision(
-        IRAIterationPrecision(options.alpha, i, l), n);
+    dp.alpha = RTAInternalPrecision(alpha, n);
     dp.quick_mode_weights = problem.weights;
-    generator.Run(query, dp);
+    const ParetoSet& pareto = generator.Run(query, dp);
     ASSERT_FALSE(generator.stats().timed_out);
     last = generator.stats().considered_plans;
     sum += last;
+    const PlanNode* popt = pareto.SelectBest(problem.weights, problem.bounds);
+    if (IRAOptimizer::StoppingConditionMet(pareto, problem.weights,
+                                           problem.bounds, popt, alpha,
+                                           options.alpha)) {
+      break;
+    }
+    ASSERT_LT(i, result.metrics.iterations);
+    i = IRAOptimizer::NextIteration(pareto, problem.weights, problem.bounds,
+                                    popt, i, max_step, options.alpha, l,
+                                    options.max_iterations);
   }
+  EXPECT_EQ(visited.back(), result.metrics.iterations);
+  EXPECT_EQ(static_cast<int>(visited.size()), result.metrics.refinement_runs);
+  EXPECT_EQ(visited, (std::vector<int>{1, 2, 4, 8, 11}));
   EXPECT_EQ(result.metrics.considered_plans, sum);
   EXPECT_GT(result.metrics.considered_plans, last);
 }
