@@ -4,7 +4,8 @@
 // {3, 6, 9}. Reports timeout percentage, mean time, mean memory (of the
 // last iteration), mean #iterations (the schedule index that stopped the
 // IRA) next to the mean number of DPs the IRA actually ran for it, and
-// weighted cost as a percentage of the per-case best.
+// weighted cost as a percentage of the per-case best. Both iteration
+// columns average over the runs that did not time out ("-" if none did).
 //
 // Expected shape (paper): the EXA's performance is insensitive to the
 // number of bounds and times out massively (464 timeouts over the paper's
@@ -82,14 +83,17 @@ int main() {
             a == 0 ? "EXA"
                    : "IRA(" + FormatDouble(ira_alphas[a - 1], 2) + ")";
         const CellStats stats = Aggregate(outcomes[a], best);
+        const bool converged = stats.converged > 0;
         table.AddRow({"q" + std::to_string(query),
                       std::to_string(TpcHQueryTableCount(query)),
                       std::to_string(bound_counts[b]), label,
                       FormatDouble(stats.timeout_pct, 0),
                       FormatDouble(stats.mean_time_ms, 1),
                       FormatDouble(stats.mean_memory_kb, 0),
-                      FormatDouble(stats.mean_iterations, 1),
-                      FormatDouble(stats.mean_refinement_runs, 1),
+                      converged ? FormatDouble(stats.mean_iterations, 1)
+                                : "-",
+                      converged ? FormatDouble(stats.mean_refinement_runs, 1)
+                                : "-",
                       FormatDouble(stats.mean_weighted_cost_pct, 2)});
         for (const RunOutcome& o : outcomes[a]) {
           if (a == 0) {

@@ -1,6 +1,7 @@
 // Micro benchmarks (google-benchmark) for the optimizer's hot paths:
-// dominance checks, Pareto-set pruning, join pricing (terms and fold), subset
-// enumeration, end-to-end optimization of small queries, and the
+// dominance checks, Pareto-set pruning, join pricing (terms, fold and
+// rejection corners), the DP candidate loop, subset enumeration,
+// end-to-end optimization of small queries, and the
 // canonical cache keys every service request and DP run derives.
 
 #include <benchmark/benchmark.h>
@@ -132,6 +133,67 @@ void BM_FoldJoinCost(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FoldJoinCost);
+
+/// CostModel::RejectionCorner per join config of the Q3 scan pair, with
+/// the rejecter at the candidate's own cost (a corner always exists): the
+/// once-per-(left plan, config) price of skipping right operands.
+void BM_RejectionCorner(benchmark::State& state) {
+  const JoinPricingFixture f;
+  std::vector<CostModel::JoinTerms> terms;
+  std::vector<CostVector> rejecters;
+  for (int config : f.registry.join_configs()) {
+    terms.push_back(f.model.ComputeJoinTerms(f.registry.config(config),
+                                             f.left_stats, f.right_stats,
+                                             f.output.rows));
+    rejecters.push_back(
+        f.model.FoldJoinCost(terms.back(), f.left.cost, f.right.cost));
+  }
+  std::vector<double> rejecter(kNumObjectives);
+  double corner[kNumObjectives];
+  size_t config = 0;
+  long found = 0;
+  for (auto _ : state) {
+    const size_t i = config % terms.size();
+    for (int d = 0; d < rejecters[i].size(); ++d) rejecter[d] = rejecters[i][d];
+    found += f.model.RejectionCorner(terms[i], f.left.cost, rejecter.data(),
+                                     1.1, corner);
+    benchmark::DoNotOptimize(corner);
+    ++config;
+  }
+  state.counters["found_share"] =
+      static_cast<double>(found) / static_cast<double>(config);
+}
+BENCHMARK(BM_RejectionCorner);
+
+/// A serial DP over TPC-H Q2 (five tables) at all nine objectives and the
+/// RTA's internal precision for alpha 1.5 (two sampling rates, DOPs 1 and
+/// 4, as DpGoldenTest.RtaNineObjectivesTpcHQ2), whose top set holds most of
+/// the candidates: the candidate loop end to end (pricing, rejection
+/// corners, dominance scans, inserts). Counters give the per-run
+/// considered plans and the share that corners skipped unpriced.
+void BM_DpTopSetTpcHQ2(benchmark::State& state) {
+  const Catalog catalog = Catalog::TpcH(0.01);
+  const Query query = MakeTpcHQuery(&catalog, 2);
+  OperatorRegistry::Options operators;
+  operators.sampling_rates = {0.05, 0.01};
+  operators.dops = {1, 4};
+  const OperatorRegistry registry(operators);
+  const CostModel model(&query, &registry, ObjectiveSet::All());
+  DPOptions options;
+  options.alpha = RTAInternalPrecision(1.5, query.num_tables());
+  DPStats stats;
+  for (auto _ : state) {
+    Arena arena;
+    DPPlanGenerator generator(&model, &registry, &arena);
+    benchmark::DoNotOptimize(generator.Run(query, options).size());
+    stats = generator.stats();
+  }
+  state.counters["considered"] = static_cast<double>(stats.considered_plans);
+  state.counters["skipped_share"] =
+      static_cast<double>(stats.corner_skipped_plans) /
+      static_cast<double>(stats.considered_plans);
+}
+BENCHMARK(BM_DpTopSetTpcHQ2)->Unit(benchmark::kMillisecond);
 
 void BM_SubsetEnumeration(benchmark::State& state) {
   const TableSet universe = TableSet::Prefix(static_cast<int>(state.range(0)));

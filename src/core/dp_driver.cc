@@ -4,8 +4,10 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <limits>
 
+#include "core/dominance_kernel.h"
 #include "core/plan_set.h"
 #include "memo/subplan_memo.h"
 #include "obs/trace.h"
@@ -57,6 +59,33 @@ void GroupByStats(const ParetoSet& plans, std::vector<int>* order,
   }
 }
 
+// Lowers `least` to the component-wise minimum of itself and `terms`.
+// Inner rescans, the parallel-children flag and the startup kind depend
+// only on the operator and the left operand, so every right group of one
+// (left statistics, config) agrees on them; every other field enters the
+// fold through sum or max, so folding the least terms bounds the fold
+// under any group's terms from below.
+void LowerTerms(const CostModel::JoinTerms& terms,
+                CostModel::JoinTerms* least) {
+  assert(terms.inner_rescans == least->inner_rescans &&
+         terms.parallel_children == least->parallel_children &&
+         terms.startup == least->startup);
+  least->own_time = std::min(least->own_time, terms.own_time);
+  least->startup_own = std::min(least->startup_own, terms.startup_own);
+  least->setup = std::min(least->setup, terms.setup);
+  least->io_pages = std::min(least->io_pages, terms.io_pages);
+  least->cpu_load = std::min(least->cpu_load, terms.cpu_load);
+  least->cores = std::min(least->cores, terms.cores);
+  least->disk = std::min(least->disk, terms.disk);
+  least->buffer = std::min(least->buffer, terms.buffer);
+  least->energy = std::min(least->energy, terms.energy);
+}
+
+// Rejection-corner state of one (left plan, join config) row of
+// candidates: no rejection seen yet, a proven corner, or a first rejection
+// that yielded none (the row then prices every candidate).
+enum class CornerState : uint8_t { kUnknown, kReady, kNone };
+
 }  // namespace
 
 const ParetoSet& DPPlanGenerator::Run(const Query& query,
@@ -106,7 +135,7 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
 
     TraceSpan level_span(options.tracer, "dp", "dp.level", options.trace_id);
     level_span.AddArg("tables", k);
-    level_span.AddArg("sets", static_cast<int64_t>(level.size()));
+    const long skipped_before = stats_.corner_skipped_plans;
 
     // Memo probe, on the caller thread before any of this level's sets is
     // built: hits seal their entry directly from the shared snapshot;
@@ -182,6 +211,8 @@ const ParetoSet& DPPlanGenerator::Run(const Query& query,
         }
       }
     }
+    level_span.AddArg("corner_skipped",
+                      stats_.corner_skipped_plans - skipped_before);
 
     // Publish-after-seal: every set built completely by THIS run (never
     // re-published hits, never quick-mode rebuilds) is offered to the
@@ -338,14 +369,17 @@ void DPPlanGenerator::ProcessLevelParallel(const std::vector<TableSet>& level,
         Arena* arena =
             slot == 0 ? arena_ : slot_arenas_[slot - 1].get();
         TraceSpan set_span(options.tracer, "dp", "dp.set", options.trace_id);
-        set_span.AddArg("tables", level[index].Cardinality());
         set_span.AddArg("split_work", static_cast<int64_t>(proxy[index]));
-        if (ProcessSetInto(level[index], options, arena,
-                           outputs[index], &slot_state[slot].stats)) {
+        DPStats& slot_stats = slot_state[slot].stats;
+        const long skipped_before = slot_stats.corner_skipped_plans;
+        if (ProcessSetInto(level[index], options, arena, outputs[index],
+                           &slot_stats)) {
           completed[index] = 1;
         } else {
           expired.store(true, std::memory_order_relaxed);
         }
+        set_span.AddArg("corner_skipped",
+                        slot_stats.corner_skipped_plans - skipped_before);
         slot_state[slot].last_finish_us = level_us();
       });
 
@@ -357,6 +391,7 @@ void DPPlanGenerator::ProcessLevelParallel(const std::vector<TableSet>& level,
   for (const SlotState& s : slot_state) {
     stats_.considered_plans += s.stats.considered_plans;
     stats_.inserted_plans += s.stats.inserted_plans;
+    stats_.corner_skipped_plans += s.stats.corner_skipped_plans;
     if (s.last_finish_us < 0) continue;
     const int64_t wait_us = barrier_us - s.last_finish_us;
     stats_.barrier_wait_us += wait_us;
@@ -485,22 +520,35 @@ bool DPPlanGenerator::ProcessSetInto(TableSet tables,
                                       options.aggressive_delete};
   const std::vector<int>& configs = registry_->join_configs();
   const int num_configs = static_cast<int>(configs.size());
+  const int dims = model_->objectives().size();
   // Scratch reused across splits: the right operand's statistics groups,
   // and for the current left statistics one join output and one row of
-  // terms (num_configs wide) per group.
+  // terms (num_configs wide) per group, plus per config the least terms
+  // over all groups.
   std::vector<char> applicable(num_configs);
   std::vector<int> order;
   std::vector<int> right_group;
   std::vector<OperandStats> group_stats;
   std::vector<OperandStats> group_output;
   std::vector<CostModel::JoinTerms> terms;
+  std::vector<CostModel::JoinTerms> least(num_configs);
+  // The current left plan's rejection corner per config (num_configs x
+  // dims, row c valid iff corner_state[c] is kReady).
+  std::vector<double> corners(static_cast<size_t>(num_configs) * dims);
+  std::vector<CornerState> corner_state(num_configs);
+  // Once every applicable config of the current left plan has a corner:
+  // their component-wise maximum, at or above which a right plan skips
+  // every config at once.
+  double max_corner[kNumObjectives] = {};
   long since_poll = 0;
   for (const Split& split : SplitsOf(tables, options)) {
     const ParetoSet& left_plans = SetFor(split.left);
     const ParetoSet& right_plans = SetFor(split.right);
+    int num_applicable = 0;
     for (int c = 0; c < num_configs; ++c) {
       applicable[c] = model_->JoinApplicableFast(
           registry_->config(configs[c]), split.info);
+      num_applicable += applicable[c];
     }
     GroupByStats(right_plans, &order, &right_group, &group_stats);
     const int num_groups = static_cast<int>(group_stats.size());
@@ -520,15 +568,37 @@ bool DPPlanGenerator::ProcessSetInto(TableSet tables,
               model_->JoinOutputStats(left_stats, group_stats[g], split.info);
           for (int c = 0; c < num_configs; ++c) {
             if (!applicable[c]) continue;
-            terms[static_cast<size_t>(g) * num_configs + c] =
-                model_->ComputeJoinTerms(registry_->config(configs[c]),
-                                         left_stats, group_stats[g],
-                                         group_output[g].rows);
+            const CostModel::JoinTerms& t =
+                terms[static_cast<size_t>(g) * num_configs + c] =
+                    model_->ComputeJoinTerms(registry_->config(configs[c]),
+                                             left_stats, group_stats[g],
+                                             group_output[g].rows);
+            if (g == 0) {
+              least[c] = t;
+            } else {
+              LowerTerms(t, &least[c]);
+            }
           }
         }
       }
+      std::fill(corner_state.begin(), corner_state.end(),
+                CornerState::kUnknown);
+      int cornerless = num_applicable;  // Applicable configs not kReady.
       for (int ri = 0; ri < right_plans.size(); ++ri) {
         const PlanNode* right = right_plans.at(ri);
+        const double* right_row = right_plans.row(ri);
+        if (cornerless == 0 && RowLeqScalar(max_corner, right_row, dims)) {
+          // Every config's candidate would skip below: poll and count
+          // them all at once.
+          since_poll += num_configs;
+          if (since_poll >= kDeadlinePollInterval) {
+            since_poll = 0;
+            if (options.deadline.Expired()) return false;
+          }
+          stats->considered_plans += num_applicable;
+          stats->corner_skipped_plans += num_applicable;
+          continue;
+        }
         const int g = right_group[ri];
         const CostModel::JoinTerms* row =
             &terms[static_cast<size_t>(g) * num_configs];
@@ -538,15 +608,46 @@ bool DPPlanGenerator::ProcessSetInto(TableSet tables,
             if (options.deadline.Expired()) return false;
           }
           if (!applicable[c]) continue;
+          ++stats->considered_plans;
+          double* corner = &corners[static_cast<size_t>(c) * dims];
+          // At or above the corner the fold only rises, so the stored plan
+          // behind the corner's rejecter rejects this candidate too.
+          if (corner_state[c] == CornerState::kReady &&
+              RowLeqScalar(corner, right_row, dims)) {
+            ++stats->corner_skipped_plans;
+            continue;
+          }
           const CostVector cost =
               model_->FoldJoinCost(row[c], left->cost, right->cost);
-          ++stats->considered_plans;
           if (set->WouldInsert(cost, prune)) {
             set->InsertAccepted(
                 arena->New<PlanNode>(CostModel::AssembleJoin(
                     configs[c], left, right, group_output[g], cost)),
                 prune);
             ++stats->inserted_plans;
+          } else if (corner_state[c] == CornerState::kUnknown) {
+            // First rejection in this (left plan, config) row: turn its
+            // rejecter into a corner over the least terms of any group.
+            // There is none under the aggressive deletion rule, whose
+            // rejecters do not stay valid (ParetoSet::recent_rejecter).
+            const double* rejecter = set->recent_rejecter();
+            if (rejecter == nullptr ||
+                !model_->RejectionCorner(least[c], left->cost, rejecter,
+                                         options.alpha, corner)) {
+              corner_state[c] = CornerState::kNone;
+              continue;
+            }
+            corner_state[c] = CornerState::kReady;
+            if (--cornerless == 0) {
+              std::fill_n(max_corner, dims, 0.0);
+              for (int a = 0; a < num_configs; ++a) {
+                if (!applicable[a]) continue;
+                const double* other = &corners[static_cast<size_t>(a) * dims];
+                for (int d = 0; d < dims; ++d) {
+                  max_corner[d] = std::max(max_corner[d], other[d]);
+                }
+              }
+            }
           }
         }
       }

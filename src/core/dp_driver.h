@@ -32,6 +32,11 @@
 // ever read immutable memo state and the frontiers of a cold run are
 // byte-identical with the memo on or off.
 //
+// Candidate pruning: each candidate is priced by folding its children's
+// costs into precomputed operator terms and checked against the set being
+// built; right operands that a recent rejecter provably dominates skip
+// both steps (rejection corners, see ProcessSetInto).
+//
 // Postgres heuristics kept in place per Section 4: Cartesian-product splits
 // are considered only for table sets where no predicate-connected split
 // exists.
@@ -112,6 +117,9 @@ struct DPStats {
   long considered_plans = 0;
   /// Plans that survived pruning at insertion time.
   long inserted_plans = 0;
+  /// Considered plans rejected by a rejection corner without being priced
+  /// (a subset of considered_plans; see ProcessSetInto).
+  long corner_skipped_plans = 0;
   /// "#Pareto plans for the last table set that was treated completely".
   int last_complete_pareto_count = 0;
   TableSet last_complete_set;
@@ -173,6 +181,22 @@ class DPPlanGenerator {
   /// costs, candidate order, considered/inserted counts and the deadline
   /// poll are those of calling JoinNode per candidate. Only survivors of
   /// WouldInsert become PlanNodes.
+  ///
+  /// Rejection corners: the first time a (left plan, config) row has a
+  /// candidate rejected, the set's most recent rejecter is turned into a
+  /// right-operand corner by CostModel::RejectionCorner, over the least
+  /// terms of any right group. Every later right plan of that row whose
+  /// sealed cost row is at or above the corner is counted as considered
+  /// (and in the deadline poll) but never priced: the fold is monotone in
+  /// the right cost, and a rejecter stays dominated by some live plan for
+  /// the rest of the build under the default deletion rule, so WouldInsert
+  /// would have returned false. Once every applicable config of the left
+  /// plan has a corner, a right plan at or above their component-wise
+  /// maximum skips all configs after one comparison. Skips are exact —
+  /// inserts, counters and the sealed frontier match the loop without
+  /// corners bit for bit. The aggressive_delete ablation, where a
+  /// rejecter can be deleted for a merely alpha-dominating plan, prices
+  /// every candidate.
   bool ProcessSetInto(TableSet tables, const DPOptions& options,
                       Arena* arena, ParetoSet* set, DPStats* stats) const;
 

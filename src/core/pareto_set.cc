@@ -53,7 +53,16 @@ MOQO_ALWAYS_INLINE bool ParetoSet::WouldInsertImpl(
   const bool use_hot = !options.aggressive_delete;
   if (use_hot) {
     for (int h = 0; h < hot_used_; ++h) {
-      if (Leq<kAvx2>(&hot_[h * kNumObjectives], threshold, dims)) {
+      double* hot = &hot_[h * kNumObjectives];
+      if (Leq<kAvx2>(hot, threshold, dims)) {
+        // Move the hit to the front: the next candidate most likely meets
+        // the same rejecter, and recent_rejecter() is always row 0.
+        if (h > 0) {
+          double hit[kNumObjectives];
+          std::copy_n(hot, dims, hit);
+          std::copy_backward(hot_.data(), hot, hot + kNumObjectives);
+          std::copy_n(hit, dims, hot_.data());
+        }
         return false;
       }
     }
@@ -75,10 +84,12 @@ MOQO_ALWAYS_INLINE bool ParetoSet::WouldInsertImpl(
       const double* row = costs + static_cast<size_t>(i) * dims_;
       if (plans_[i] != nullptr && Leq<kAvx2>(row, threshold, dims)) {
         if (use_hot) {
-          double* hot = &hot_[hot_next_ * kNumObjectives];
-          for (int d = 0; d < dims; ++d) hot[d] = row[d];
-          hot_next_ = (hot_next_ + 1) % kHotSlots;
-          hot_used_ = std::min(hot_used_ + 1, kHotSlots);
+          // New front row; the least recent one drops out when full.
+          const int keep = std::min(hot_used_, kHotSlots - 1);
+          std::copy_backward(hot_.data(), &hot_[keep * kNumObjectives],
+                             &hot_[(keep + 1) * kNumObjectives]);
+          std::copy_n(row, dims, hot_.data());
+          hot_used_ = keep + 1;
         }
         return false;
       }
@@ -273,7 +284,6 @@ void ParetoSet::clear() {
   dims_ = 0;
   live_ = 0;
   hot_used_ = 0;
-  hot_next_ = 0;
 }
 
 CostVector ParetoSet::cost_at(int i) const {

@@ -105,6 +105,24 @@ class ParetoSet {
   const PlanNode* at(int i) const { return plans_[i]; }
   /// Gathers row `i` of the cost matrix into a value-type vector.
   CostVector cost_at(int i) const;
+  /// Row `i` of the cost matrix in place (one double per dimension); valid
+  /// only after Seal(), like at().
+  const double* row(int i) const {
+    return costs_.data() + static_cast<size_t>(i) * dims_;
+  }
+
+  /// The stored cost row that made the most recent WouldInsert return
+  /// false, or nullptr (none yet, or the set runs aggressive deletion,
+  /// which keeps no rejecters). The copy stays valid for the rest of the
+  /// set's build: under the default deletion rule a stored plan is only
+  /// ever deleted for a live plan that plainly dominates it, so some live
+  /// plan is always at or below the returned row, and every candidate it
+  /// rejects stays rejected. The DP driver derives rejection corners from
+  /// it (CostModel::RejectionCorner). The pointer addresses the
+  /// rejecter list, so read it before the next WouldInsert.
+  const double* recent_rejecter() const {
+    return hot_used_ > 0 ? hot_.data() : nullptr;
+  }
 
   /// Compacts tombstones and rebuilds block summaries; afterwards
   /// entries 0..size()-1 are exactly the live plans.
@@ -194,17 +212,19 @@ class ParetoSet {
   /// Tests drive both instantiations with one candidate stream.
   friend class ParetoSetScanPeer;
 
-  /// FIFO ring of recently rejecting cost rows (a new rejecter overwrites
-  /// the oldest slot): consecutive candidates usually come from the same
-  /// split and are rejected by the same stored plan. Purely an
-  /// accelerator; stale copies are harmless because every cached row
-  /// belonged to a stored plan whose dominance already implied rejection
-  /// (tombstoning only ever happens to plans dominated by a *kept* plan,
-  /// which then dominates the same candidates).
+  /// Recently rejecting cost rows, most recent first (row 0 is
+  /// recent_rejecter(); a hit moves to the front, a new rejecter from the
+  /// scan is pushed there and the least recent row drops out): consecutive
+  /// candidates usually come from the same split and are rejected by the
+  /// same stored plan. Purely an accelerator; stale copies are harmless
+  /// because every cached row belonged to a stored plan whose dominance
+  /// already implied rejection (tombstoning only ever happens to plans
+  /// dominated by a *kept* plan, which then dominates the same
+  /// candidates). Rows are only ever written under the default deletion
+  /// rule.
   static constexpr int kHotSlots = 4;
   mutable std::array<double, kHotSlots * kNumObjectives> hot_{};
   mutable int hot_used_ = 0;
-  mutable int hot_next_ = 0;
 };
 
 }  // namespace moqo

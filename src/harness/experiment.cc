@@ -69,12 +69,15 @@ CellStats Aggregate(const std::vector<RunOutcome>& outcomes,
   int cost_cases = 0;
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const RunOutcome& o = outcomes[i];
-    if (o.metrics.timed_out) ++timeouts;
     time_sum += o.metrics.optimization_ms;
     memory_sum += static_cast<double>(o.metrics.memory_bytes) / 1024.0;
     pareto_sum += o.metrics.last_complete_pareto_count;
-    iter_sum += o.metrics.iterations;
-    runs_sum += o.metrics.refinement_runs;
+    if (o.metrics.timed_out) {
+      ++timeouts;
+    } else {
+      iter_sum += o.metrics.iterations;
+      runs_sum += o.metrics.refinement_runs;
+    }
     if (i < best_weighted.size() && best_weighted[i] > 0 &&
         std::isfinite(best_weighted[i]) && o.has_plan) {
       cost_pct_sum += 100.0 * o.weighted_cost / best_weighted[i];
@@ -85,8 +88,11 @@ CellStats Aggregate(const std::vector<RunOutcome>& outcomes,
   stats.mean_time_ms = time_sum / stats.cases;
   stats.mean_memory_kb = memory_sum / stats.cases;
   stats.mean_pareto_plans = pareto_sum / stats.cases;
-  stats.mean_iterations = iter_sum / stats.cases;
-  stats.mean_refinement_runs = runs_sum / stats.cases;
+  stats.converged = stats.cases - timeouts;
+  if (stats.converged > 0) {
+    stats.mean_iterations = iter_sum / stats.converged;
+    stats.mean_refinement_runs = runs_sum / stats.converged;
+  }
   stats.mean_weighted_cost_pct =
       cost_cases > 0 ? cost_pct_sum / cost_cases : 0;
   return stats;

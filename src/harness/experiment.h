@@ -37,6 +37,9 @@ struct CellStats {
   double mean_time_ms = 0;
   double mean_memory_kb = 0;
   double mean_pareto_plans = 0;
+  /// Runs that did not time out. The two iteration means average over
+  /// these only: a timed-out run's index is wherever the deadline hit.
+  int converged = 0;
   double mean_iterations = 0;
   double mean_refinement_runs = 0;  ///< DPs per answer (IRA: < iterations).
   /// Mean weighted cost as percentage of the per-case best over all

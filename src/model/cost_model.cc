@@ -292,6 +292,117 @@ CostVector CostModel::FoldJoinCost(const JoinTerms& terms,
   return cost;
 }
 
+bool CostModel::RejectionCorner(const JoinTerms& terms,
+                                const CostVector& left_cost,
+                                const double* rejecter, double alpha,
+                                double* corner) const {
+  // WouldInsert compares stored rows against the candidate's cost itself
+  // when alpha <= 1 and against cost * alpha otherwise; mirror it exactly.
+  const auto threshold = [alpha](double cost) {
+    return alpha <= 1.0 ? cost : cost * alpha;
+  };
+  // The fold value objective o must reach, padded upwards so that rounding
+  // in the solve rarely fails the proof below (a failed proof only loses
+  // the corner).
+  constexpr double kSlack = 1.0 + 0x1p-40;
+  const double scale = alpha <= 1.0 ? kSlack : kSlack / alpha;
+  const auto active = [this](Objective o) {
+    return dimension_[static_cast<int>(o)] >= 0;
+  };
+  const auto target = [&](Objective o) {
+    return rejecter[dimension_[static_cast<int>(o)]] * scale;
+  };
+  CostVector right(objectives_.size());
+  // Raises the right operand's component of objective `o` to `value`.
+  const auto need = [this, &right](Objective o, double value) {
+    const int index = dimension_[static_cast<int>(o)];
+    if (index >= 0 && value > right[index]) right[index] = value;
+  };
+  const double inner = terms.inner_rescans;
+  const double left_total = Get(left_cost, Objective::kTotalTime);
+
+  // One solve per FoldJoinCost formula, in the same order.
+  if (active(Objective::kTotalTime)) {
+    const double t = target(Objective::kTotalTime) - terms.own_time;
+    if (!terms.parallel_children) {
+      need(Objective::kTotalTime, (t - left_total) / inner);
+    } else if (left_total < t) {
+      need(Objective::kTotalTime, t);
+    }
+  }
+  if (active(Objective::kStartupTime)) {
+    const double t =
+        target(Objective::kStartupTime) - terms.startup_own - terms.setup;
+    switch (terms.startup) {
+      case JoinTerms::Startup::kAfterLeftTotal:
+        need(Objective::kStartupTime, t - left_total);
+        break;
+      case JoinTerms::Startup::kAfterBothTotals:
+        if (left_total < t) need(Objective::kTotalTime, t);
+        break;
+      case JoinTerms::Startup::kPipelined:
+        need(Objective::kStartupTime,
+             t - Get(left_cost, Objective::kStartupTime));
+        break;
+    }
+  }
+  if (active(Objective::kIOLoad)) {
+    need(Objective::kIOLoad, (target(Objective::kIOLoad) - terms.io_pages -
+                              Get(left_cost, Objective::kIOLoad)) /
+                                 inner);
+  }
+  if (active(Objective::kCPULoad)) {
+    need(Objective::kCPULoad, (target(Objective::kCPULoad) - terms.cpu_load -
+                               Get(left_cost, Objective::kCPULoad)) /
+                                  inner);
+  }
+  if (active(Objective::kCores)) {
+    const double t = target(Objective::kCores);
+    const double left_cores = Get(left_cost, Objective::kCores);
+    if (terms.cores < t) {
+      if (terms.parallel_children) {
+        need(Objective::kCores, t - left_cores);
+      } else if (left_cores < t) {
+        need(Objective::kCores, t);
+      }
+    }
+  }
+  if (active(Objective::kDiskFootprint)) {
+    const double t = target(Objective::kDiskFootprint);
+    if (std::max(Get(left_cost, Objective::kDiskFootprint), terms.disk) < t) {
+      need(Objective::kDiskFootprint, t);
+    }
+  }
+  if (active(Objective::kBufferFootprint)) {
+    const double t = target(Objective::kBufferFootprint) - terms.buffer;
+    if (Get(left_cost, Objective::kBufferFootprint) < t) {
+      need(Objective::kBufferFootprint, t);
+    }
+  }
+  if (active(Objective::kEnergy)) {
+    need(Objective::kEnergy, (target(Objective::kEnergy) - terms.energy -
+                              Get(left_cost, Objective::kEnergy)) /
+                                 inner);
+  }
+
+  // The proof: the real fold at the corner passes WouldInsert's test.
+  const CostVector folded = FoldJoinCost(terms, left_cost, right);
+  const int loss = dimension_[static_cast<int>(Objective::kTupleLoss)];
+  for (int d = 0; d < objectives_.size(); ++d) {
+    if (d != loss && !(rejecter[d] <= threshold(folded[d]))) return false;
+  }
+  if (loss >= 0) {
+    // The left share alone, less the rounding margin of a + b - ab.
+    const double a = left_cost[loss];
+    if (!(a >= 0.0 && a <= 1.0)) return false;
+    if (!(rejecter[loss] <= threshold(std::max(a - 0x1p-40, 0.0)))) {
+      return false;
+    }
+  }
+  for (int d = 0; d < objectives_.size(); ++d) corner[d] = right[d];
+  return true;
+}
+
 CostVector CostModel::CombineJoinCost(const OperatorConfig& op,
                                       const OperandStats& left_stats,
                                       const CostVector& left_cost,

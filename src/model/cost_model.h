@@ -24,6 +24,13 @@
 // folds once per candidate plan pair; CombineJoinCost/JoinNode are the
 // composition, so every formula exists once.
 //
+// Because the fold only sums, maxes and scales by non-negative constants,
+// it is monotone in every child cost, and RejectionCorner runs it
+// backwards: given a left plan and a stored plan that rejected one of its
+// joins, it solves for the least right-operand cost whose join that plan
+// also rejects, and proves the answer by folding at it. The DP driver
+// skips pricing every right plan at or above that corner.
+//
 // The absolute constants (below) are synthetic but Postgres-flavoured;
 // DESIGN.md's substitution table explains why only the formula structure,
 // not the constants, matters for reproducing the paper.
@@ -204,6 +211,37 @@ class CostModel {
   /// candidate plan pair — exact, not an approximation.
   CostVector FoldJoinCost(const JoinTerms& terms, const CostVector& left_cost,
                           const CostVector& right_cost) const;
+
+  /// FoldJoinCost turned around for pruning (rejection corners). `rejecter`
+  /// is a stored cost row (one double per active objective) and `alpha` a
+  /// ParetoSet pruning precision. On true, `corner` holds a right-operand
+  /// cost row such that every right cost r >= corner (component-wise)
+  /// satisfies, in every dimension d,
+  ///   rejecter[d] <= fold[d]          (alpha <= 1), or
+  ///   rejecter[d] <= fold[d] * alpha  (alpha > 1),
+  /// with fold = FoldJoinCost(t, left_cost, r) for any terms t that agree
+  /// with `terms` on inner_rescans, parallel_children and startup and are
+  /// at least as large in every other field. That is WouldInsert's
+  /// rejection test, so a set storing a plan at or below `rejecter`
+  /// rejects every such candidate, and the DP driver need not price it.
+  ///
+  /// Per objective the corner holds the smallest right component that
+  /// lifts the fold to rejecter / alpha (0 where the left share and the
+  /// operator's own terms already get there), solved with a small upward
+  /// slack. The solve is not trusted: the corner is returned only after
+  /// FoldJoinCost evaluated at it passes the test. Sum, max and scaling by
+  /// a non-negative constant (the Section 6.1 building blocks) round
+  /// monotonically, so the fold at any r >= corner is at least the fold at
+  /// the corner, and larger terms only raise it further. Tuple loss is the
+  /// exception: a + b - ab does not round monotonically in b, so its corner
+  /// component stays 0 and the left share alone must discharge it — for a
+  /// and b in [0, 1] (every tuple loss this model produces) the rounded
+  /// value is at least max(a - 2^-40, 0), and the rejecter's tuple loss
+  /// must pass the test against that floor. Otherwise, and when the proof
+  /// fails, there is no corner (false, `corner` untouched).
+  bool RejectionCorner(const JoinTerms& terms, const CostVector& left_cost,
+                       const double* rejecter, double alpha,
+                       double* corner) const;
 
   /// Core recursive step, exposed for property tests: combines child cost
   /// vectors under fixed operand statistics. Exactly

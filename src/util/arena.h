@@ -48,8 +48,8 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Allocates `bytes` with `alignment`; memory is owned by the arena and
-  /// released only on destruction or Reset().
+  /// Allocates `bytes` with `alignment`, uninitialized; memory is owned by
+  /// the arena and released only on destruction or Reset().
   void* Allocate(size_t bytes, size_t alignment = alignof(std::max_align_t)) {
     // Align the actual address, not the block-relative offset: block bases
     // from new char[] only guarantee fundamental alignment.
@@ -110,7 +110,10 @@ class Arena {
     // Arm with `oom` to simulate allocation failure mid-optimization.
     MOQO_FAILPOINT("arena.new_block");
     size_t size = min_bytes > block_bytes_ ? min_bytes : block_bytes_;
-    blocks_.push_back(Block{std::make_unique<char[]>(size), size});
+    // Uninitialized: New() constructs every object it hands out, and no
+    // caller reads raw arena bytes, so zero-filling each block is waste.
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<char[]>(size), size});
     reserved_bytes_ += size;
     offset_ = 0;
     if (block_bytes_ < max_block_bytes_) {

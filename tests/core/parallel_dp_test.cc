@@ -112,10 +112,12 @@ TEST_F(ParallelDpTest, ApproximatePruningDeterministicAndCovering) {
 TEST_F(ParallelDpTest, StatsAggregationAcrossSlotsLosesNoUpdates) {
   // PR 6 audit: during a fanned-out level every slot counts into its own
   // padded DPStats block and the barrier merges them. A lost update would
-  // surface as a considered/inserted undercount against the serial run;
-  // a sharing bug would trip the TSan job this file runs under in CI.
+  // surface as a considered/inserted/corner-skipped undercount against the
+  // serial run; a sharing bug would trip the TSan job this file runs under
+  // in CI.
   DPStats serial_stats;
   RunFrontiers(/*parallelism=*/1, nullptr, /*alpha=*/1.0, &serial_stats);
+  EXPECT_GT(serial_stats.corner_skipped_plans, 0);
   EXPECT_EQ(serial_stats.parallel_levels, 0);
   EXPECT_EQ(serial_stats.barrier_wait_us, 0);
 
@@ -126,6 +128,10 @@ TEST_F(ParallelDpTest, StatsAggregationAcrossSlotsLosesNoUpdates) {
     EXPECT_EQ(stats.considered_plans, serial_stats.considered_plans)
         << "repeat " << repeat;
     EXPECT_EQ(stats.inserted_plans, serial_stats.inserted_plans)
+        << "repeat " << repeat;
+    // Corners are derived per set build, so the skips are the serial
+    // run's too, merged from every slot.
+    EXPECT_EQ(stats.corner_skipped_plans, serial_stats.corner_skipped_plans)
         << "repeat " << repeat;
     // Both multi-set levels of the 4-table star fan out, and the
     // finished-but-waiting attribution never goes negative.

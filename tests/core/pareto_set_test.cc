@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "core/dominance_kernel.h"
 #include "testing/test_helpers.h"
@@ -144,6 +145,39 @@ TEST(ParetoSetTest, AggressiveDeleteRemovesApproxDominated) {
   set.Prune(MakePlan(&arena, {10, 10}), ablation);
   EXPECT_TRUE(set.Prune(MakePlan(&arena, {4, 12}), ablation));
   EXPECT_EQ(set.size(), 1);
+}
+
+// recent_rejecter() is the stored row behind the last rejection, whether
+// the scan or the recent-rejecter list found it, and nothing under the
+// aggressive deletion rule, which keeps no rejecters.
+TEST(ParetoSetTest, RecentRejecterIsTheLastRejectingRow) {
+  Arena arena;
+  ParetoSet set;
+  EXPECT_EQ(set.recent_rejecter(), nullptr);
+  ASSERT_TRUE(set.Prune(MakePlan(&arena, {1, 10})));
+  ASSERT_TRUE(set.Prune(MakePlan(&arena, {10, 1})));
+  const auto rejecter = [&set] {
+    return std::vector<double>(set.recent_rejecter(),
+                               set.recent_rejecter() + 2);
+  };
+  // Scan hit, then a second scan hit pushed in front of it.
+  EXPECT_FALSE(set.WouldInsert(MakePlan(&arena, {2, 11})->cost, {}));
+  EXPECT_EQ(rejecter(), (std::vector<double>{1, 10}));
+  EXPECT_FALSE(set.WouldInsert(MakePlan(&arena, {11, 2})->cost, {}));
+  EXPECT_EQ(rejecter(), (std::vector<double>{10, 1}));
+  // A hit on the older cached row moves it back to the front.
+  EXPECT_FALSE(set.WouldInsert(MakePlan(&arena, {3, 12})->cost, {}));
+  EXPECT_EQ(rejecter(), (std::vector<double>{1, 10}));
+  // An accepted candidate leaves it alone.
+  EXPECT_TRUE(set.WouldInsert(MakePlan(&arena, {5, 5})->cost, {}));
+  EXPECT_EQ(rejecter(), (std::vector<double>{1, 10}));
+
+  ParetoSet aggressive;
+  const ParetoSet::PruneOptions options{1.5, true};
+  ASSERT_TRUE(aggressive.Prune(MakePlan(&arena, {1, 1}), options));
+  EXPECT_FALSE(aggressive.WouldInsert(MakePlan(&arena, {2, 2})->cost,
+                                      options));
+  EXPECT_EQ(aggressive.recent_rejecter(), nullptr);
 }
 
 TEST(ParetoSetTest, SelectBestRespectsBoundsWithFallback) {

@@ -127,6 +127,30 @@ TEST_F(WorkloadTest, AggregateComputesMeansAndPercentages) {
   EXPECT_DOUBLE_EQ(stats.mean_weighted_cost_pct, (100 + 200) / 2.0);
 }
 
+TEST_F(WorkloadTest, AggregateAveragesIterationsOverConvergedRunsOnly) {
+  RunOutcome converged;
+  converged.has_plan = true;
+  converged.metrics.iterations = 4;
+  converged.metrics.refinement_runs = 2;
+  RunOutcome timed_out = converged;
+  // Wherever the deadline hit: must not enter the iteration means.
+  timed_out.metrics.iterations = 40;
+  timed_out.metrics.refinement_runs = 9;
+  timed_out.metrics.timed_out = true;
+
+  const CellStats mixed = Aggregate({converged, timed_out, converged}, {});
+  EXPECT_EQ(mixed.cases, 3);
+  EXPECT_EQ(mixed.converged, 2);
+  EXPECT_DOUBLE_EQ(mixed.timeout_pct, 100.0 / 3);
+  EXPECT_DOUBLE_EQ(mixed.mean_iterations, 4);
+  EXPECT_DOUBLE_EQ(mixed.mean_refinement_runs, 2);
+
+  const CellStats none = Aggregate({timed_out}, {});
+  EXPECT_EQ(none.converged, 0);
+  EXPECT_DOUBLE_EQ(none.mean_iterations, 0);
+  EXPECT_DOUBLE_EQ(none.mean_refinement_runs, 0);
+}
+
 TEST_F(WorkloadTest, BestWeightedPrefersBoundRespectingPlans) {
   RunOutcome violator;
   violator.weighted_cost = 1;  // Cheapest but violates bounds.

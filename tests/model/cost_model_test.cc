@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/dp_driver.h"
 #include "query/tpch_queries.h"
 #include "testing/test_helpers.h"
+#include "util/random.h"
 
 namespace moqo {
 namespace {
@@ -300,6 +303,143 @@ TEST_F(CostModelTest, FoldOfTermsBitIdenticalToJoinNodeOnTpcHQ10) {
     }
   }
   EXPECT_GT(checked, 10000);
+}
+
+// RejectionCorner is sound: on a seeded corpus over every join config,
+// objective subsets of 1-9 objectives (with and without tuple loss),
+// alpha = 1 and alpha > 1, and random left costs and rejecters, every
+// right cost at or above a returned corner folds — under the corner's
+// terms or any larger terms of the same shape — to a cost the rejecter
+// passes WouldInsert's rejection test against in every dimension; and no
+// corner is returned where the rejecter's tuple loss needs the right
+// operand's share.
+TEST_F(CostModelTest, RejectionCornerIsSound) {
+  const OperatorRegistry registry;  // Every operator type and DOP.
+  Xoshiro256 rng(20260418);
+  // Log-uniform over [lo, hi): costs and statistics span magnitudes.
+  const auto log_uniform = [&rng](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.NextDouble());
+  };
+  long corners = 0;
+  long right_share_cases = 0;
+  long checked = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    std::vector<Objective> objectives(kAllObjectives.begin(),
+                                      kAllObjectives.end());
+    for (int i = kNumObjectives - 1; i > 0; --i) {
+      std::swap(objectives[i], objectives[rng.NextInt(0, i)]);
+    }
+    objectives.resize(rng.NextInt(1, kNumObjectives));
+    // Half the trials carry tuple loss, half do not.
+    const auto loss_at = std::find(objectives.begin(), objectives.end(),
+                                   Objective::kTupleLoss);
+    if (trial % 2 == 0 && loss_at == objectives.end()) {
+      objectives.back() = Objective::kTupleLoss;
+    } else if (trial % 2 == 1 && loss_at != objectives.end()) {
+      objectives.erase(loss_at);
+      if (objectives.empty()) objectives.push_back(Objective::kTotalTime);
+    }
+    const ObjectiveSet set(objectives);
+    const CostModel model(&query_, &registry, set);
+    const int dims = set.size();
+    const int loss = set.IndexOf(Objective::kTupleLoss);
+    const double alpha = trial % 4 < 2 ? 1.0 : rng.NextDouble(1.0001, 3.0);
+    const auto threshold = [alpha](double cost) {
+      return alpha <= 1.0 ? cost : cost * alpha;
+    };
+    const auto random_cost = [&] {
+      CostVector cost(dims);
+      for (int d = 0; d < dims; ++d) {
+        cost[d] = d == loss ? rng.NextDouble() : log_uniform(1e-2, 1e6);
+      }
+      return cost;
+    };
+
+    for (int config : registry.join_configs()) {
+      const OperatorConfig& op = registry.config(config);
+      const OperandStats left_stats{log_uniform(1, 1e6),
+                                    log_uniform(8, 256)};
+      const OperandStats right_stats{log_uniform(1, 1e6),
+                                     log_uniform(8, 256)};
+      const CostModel::JoinTerms terms = model.ComputeJoinTerms(
+          op, left_stats, right_stats, log_uniform(1e-3, 1e9));
+      const CostVector left = random_cost();
+      // Mostly a rejecter of some real candidate (each component at or
+      // below that candidate's threshold), sometimes an arbitrary row.
+      double rejecter[kNumObjectives];
+      const CostVector candidate =
+          model.FoldJoinCost(terms, left, random_cost());
+      const bool arbitrary = rng.NextInt(0, 4) == 0;
+      for (int d = 0; d < dims; ++d) {
+        rejecter[d] = arbitrary ? log_uniform(1e-2, 1e7)
+                                : threshold(candidate[d]) *
+                                      rng.NextDouble(0.3, 1.0);
+      }
+      if (loss >= 0) {
+        const double a = left[loss];
+        // Either the left share covers the rejecter's tuple loss, or only
+        // the candidate's full loss (left and right share) does.
+        rejecter[loss] = rng.NextInt(0, 1) == 0
+                             ? threshold(a) * rng.NextDouble(0.0, 1.0)
+                             : threshold(a) + (threshold(candidate[loss]) -
+                                               threshold(a)) *
+                                                  rng.NextDouble(0.01, 1.0);
+      }
+
+      double corner[kNumObjectives];
+      const bool found =
+          model.RejectionCorner(terms, left, rejecter, alpha, corner);
+      if (loss >= 0 && rejecter[loss] > threshold(left[loss])) {
+        ++right_share_cases;
+        EXPECT_FALSE(found) << "tuple loss needs the right share, "
+                            << op.ToString();
+        continue;
+      }
+      if (!found) continue;
+      ++corners;
+      if (loss >= 0) EXPECT_EQ(corner[loss], 0.0);
+
+      ParetoSet stored;
+      PlanNode rejecter_plan;
+      rejecter_plan.cost = CostVector(dims);
+      for (int d = 0; d < dims; ++d) rejecter_plan.cost[d] = rejecter[d];
+      stored.Prune(&rejecter_plan);
+      for (int sample = 0; sample < 16; ++sample) {
+        CostVector right(dims);
+        for (int d = 0; d < dims; ++d) {
+          if (d == loss) {
+            right[d] = rng.NextInt(0, 3) == 0 ? 0.0 : rng.NextDouble();
+          } else {
+            right[d] = rng.NextInt(0, 2) == 0
+                           ? corner[d]
+                           : corner[d] * rng.NextDouble(1.0, 3.0) +
+                                 log_uniform(1e-6, 1e3);
+          }
+        }
+        // Odd samples fold under larger terms of the same shape.
+        CostModel::JoinTerms larger = terms;
+        if (sample % 2 == 1) {
+          for (double* field :
+               {&larger.own_time, &larger.startup_own, &larger.setup,
+                &larger.io_pages, &larger.cpu_load, &larger.cores,
+                &larger.disk, &larger.buffer, &larger.energy}) {
+            if (rng.NextInt(0, 1) == 0) *field += log_uniform(1e-3, 1e4);
+          }
+        }
+        const CostVector folded = model.FoldJoinCost(larger, left, right);
+        for (int d = 0; d < dims; ++d) {
+          ASSERT_LE(rejecter[d], threshold(folded[d]))
+              << op.ToString() << " trial " << trial << " dimension " << d;
+        }
+        ASSERT_FALSE(stored.WouldInsert(folded, {alpha, false}));
+        ++checked;
+      }
+    }
+  }
+  // The corpus exercises corners and the tuple-loss refusal alike.
+  EXPECT_GT(corners, 500);
+  EXPECT_GT(right_share_cases, 200);
+  EXPECT_GT(checked, 8000);
 }
 
 // Lemma 1 sanity: costs stay finite and polynomially bounded on the
